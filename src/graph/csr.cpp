@@ -2,11 +2,50 @@
 
 #include <algorithm>
 #include <queue>
+#include <utility>
 
 #include "support/assert.hpp"
 #include "support/fnv.hpp"
 
 namespace stance::graph {
+
+Csr::Csr(const Csr& other)
+    : offsets_(other.offsets_),
+      targets_(other.targets_),
+      coords_(other.coords_),
+      weights_(other.weights_),
+      fingerprint_(other.fingerprint_.load(std::memory_order_relaxed)) {}
+
+Csr::Csr(Csr&& other) noexcept
+    : offsets_(std::move(other.offsets_)),
+      targets_(std::move(other.targets_)),
+      coords_(std::move(other.coords_)),
+      weights_(std::move(other.weights_)),
+      fingerprint_(other.fingerprint_.exchange(0, std::memory_order_relaxed)) {}
+
+Csr& Csr::operator=(const Csr& other) {
+  if (this != &other) {
+    offsets_ = other.offsets_;
+    targets_ = other.targets_;
+    coords_ = other.coords_;
+    weights_ = other.weights_;
+    fingerprint_.store(other.fingerprint_.load(std::memory_order_relaxed),
+                       std::memory_order_relaxed);
+  }
+  return *this;
+}
+
+Csr& Csr::operator=(Csr&& other) noexcept {
+  if (this != &other) {
+    offsets_ = std::move(other.offsets_);
+    targets_ = std::move(other.targets_);
+    coords_ = std::move(other.coords_);
+    weights_ = std::move(other.weights_);
+    fingerprint_.store(other.fingerprint_.exchange(0, std::memory_order_relaxed),
+                       std::memory_order_relaxed);
+  }
+  return *this;
+}
 
 Csr Csr::from_edges(Vertex nv, std::span<const Edge> edges) {
   STANCE_REQUIRE(nv >= 0, "negative vertex count");
@@ -20,26 +59,26 @@ Csr Csr::from_edges(Vertex nv, std::span<const Edge> edges) {
   }
   std::sort(norm.begin(), norm.end());
   norm.erase(std::unique(norm.begin(), norm.end()), norm.end());
+  return from_normalized_edges(nv, norm);
+}
 
+Csr Csr::from_normalized_edges(Vertex nv, std::span<const Edge> edges) {
+  // Counting sort of both arcs of every edge by source vertex. Row x gets
+  // the arcs of edges (w, x), w < x, before those of (x, y), y > x, and
+  // the sorted input delivers each group ascending, so rows come out
+  // sorted without sorting them.
   Csr g;
   g.offsets_.assign(static_cast<std::size_t>(nv) + 1, 0);
-  for (const auto& [u, v] : norm) {
+  for (const auto& [u, v] : edges) {
     ++g.offsets_[static_cast<std::size_t>(u) + 1];
     ++g.offsets_[static_cast<std::size_t>(v) + 1];
   }
   for (std::size_t i = 1; i < g.offsets_.size(); ++i) g.offsets_[i] += g.offsets_[i - 1];
   g.targets_.resize(static_cast<std::size_t>(g.offsets_.back()));
   std::vector<EdgeIndex> cursor(g.offsets_.begin(), g.offsets_.end() - 1);
-  for (const auto& [u, v] : norm) {
+  for (const auto& [u, v] : edges) {
     g.targets_[static_cast<std::size_t>(cursor[static_cast<std::size_t>(u)]++)] = v;
     g.targets_[static_cast<std::size_t>(cursor[static_cast<std::size_t>(v)]++)] = u;
-  }
-  // from_edges sorted input per vertex already ascending for u-side; v-side
-  // arcs interleave, so sort each adjacency list for deterministic layout.
-  for (Vertex v = 0; v < nv; ++v) {
-    auto* b = g.targets_.data() + g.offsets_[static_cast<std::size_t>(v)];
-    auto* e = g.targets_.data() + g.offsets_[static_cast<std::size_t>(v) + 1];
-    std::sort(b, e);
   }
   return g;
 }
@@ -48,6 +87,7 @@ void Csr::set_coords(std::vector<Point2> coords) {
   STANCE_REQUIRE(coords.size() == static_cast<std::size_t>(num_vertices()),
                  "coordinate count must equal vertex count");
   coords_ = std::move(coords);
+  fingerprint_.store(0, std::memory_order_relaxed);
 }
 
 void Csr::set_weights(std::vector<double> weights) {
@@ -57,6 +97,7 @@ void Csr::set_weights(std::vector<double> weights) {
     STANCE_REQUIRE(w > 0.0, "vertex weights must be positive");
   }
   weights_ = std::move(weights);
+  fingerprint_.store(0, std::memory_order_relaxed);
 }
 
 Csr Csr::permuted(std::span<const Vertex> perm) const {
@@ -152,6 +193,11 @@ double Csr::avg_degree() const {
 }
 
 std::uint64_t Csr::fingerprint() const {
+  // Relaxed is enough: the digest is a pure function of arrays that do not
+  // change while the graph is shared, so racing readers store the same value.
+  if (const std::uint64_t memo = fingerprint_.load(std::memory_order_relaxed); memo != 0) {
+    return memo;
+  }
   support::Fnv1a h;
   h.mix(static_cast<std::uint64_t>(num_vertices()));
   for (const EdgeIndex o : offsets_) h.mix(static_cast<std::uint64_t>(o));
@@ -168,7 +214,9 @@ std::uint64_t Csr::fingerprint() const {
     h.mix(static_cast<std::uint64_t>(weights_.size()));
     for (const double w : weights_) h.mix(w);
   }
-  return h.digest();
+  const std::uint64_t digest = h.digest();
+  fingerprint_.store(digest, std::memory_order_relaxed);
+  return digest;
 }
 
 }  // namespace stance::graph

@@ -6,6 +6,7 @@
 // every undirected edge are stored; num_edges() counts undirected edges.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <span>
 #include <utility>
@@ -24,6 +25,12 @@ struct CsrDelta;  // graph/delta.hpp
 class Csr {
  public:
   Csr() = default;
+  // The fingerprint memo is an atomic, so copy and move are spelled out;
+  // each carries the cached digest along with the arrays it was taken over.
+  Csr(const Csr& other);
+  Csr(Csr&& other) noexcept;
+  Csr& operator=(const Csr& other);
+  Csr& operator=(Csr&& other) noexcept;
 
   /// Build from an undirected edge list. Self loops are dropped; duplicate
   /// edges are collapsed. Vertex ids must be in [0, nv).
@@ -92,21 +99,31 @@ class Csr {
   /// Apply a mesh edit, producing the evolved graph (vertex count is
   /// preserved; refinement is modeled as weight + stencil churn). Stamps the
   /// delta's base/result fingerprints so deltas chain — see graph/delta.hpp.
-  /// Defined in delta.cpp.
+  /// Each adjacency list is merged with the delta's arcs for that vertex, so
+  /// the cost is O(V + E + |delta| log |delta|); the result is identical to
+  /// from_edges over the edited edge list. Defined in delta.cpp.
   [[nodiscard]] Csr apply(CsrDelta& delta) const;
 
   /// Structural fingerprint (FNV-1a over offsets, targets, coordinates, and
   /// weights when present). Two graphs with equal fingerprints produce
   /// identical downstream orderings, partitions, and schedules; the
   /// stance::Service plan cache keys on it so repeat meshes skip the
-  /// inspector.
+  /// inspector. The digest is computed once and memoized (thread-safe: ranks
+  /// share one const Csr); set_coords/set_weights drop the memo.
   [[nodiscard]] std::uint64_t fingerprint() const;
 
  private:
+  /// from_edges without the normalization: `edges` must already be in
+  /// CsrDelta::normalize() form (u < v, sorted, unique, in range).
+  static Csr from_normalized_edges(Vertex nv, std::span<const Edge> edges);
+
   std::vector<EdgeIndex> offsets_;  ///< size nv+1
   std::vector<Vertex> targets_;     ///< both directions of every edge
   std::vector<Point2> coords_;      ///< optional, size nv when present
   std::vector<double> weights_;     ///< optional, size nv when present
+  /// Memoized fingerprint(); 0 = not computed yet (a true digest of 0 is
+  /// simply recomputed on every call).
+  mutable std::atomic<std::uint64_t> fingerprint_{0};
 };
 
 }  // namespace stance::graph

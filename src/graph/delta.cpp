@@ -1,6 +1,8 @@
 #include "graph/delta.hpp"
 
 #include <algorithm>
+#include <array>
+#include <cstdint>
 #include <utility>
 
 #include "support/assert.hpp"
@@ -19,6 +21,30 @@ void normalize_edges(std::vector<Edge>& edges) {
   std::sort(norm.begin(), norm.end());
   norm.erase(std::unique(norm.begin(), norm.end()), norm.end());
   edges = std::move(norm);
+}
+
+// Ascending LSD radix sort of vertex ids, one byte per pass. Every rank
+// derives the dirty set of every mesh edit (thousands of endpoints), so
+// the edit path stays linear here too instead of paying std::sort's
+// O(n log n). Keys are biased by the sign bit so the order is the signed
+// order even for (invalid) negative ids; a byte that every key shares is
+// skipped, so ids below 2^16 take two passes.
+void radix_sort(std::vector<Vertex>& keys) {
+  constexpr int kBytes = 4;
+  const auto key = [](Vertex v) { return static_cast<std::uint32_t>(v) ^ 0x80000000u; };
+  std::array<std::array<std::size_t, 256>, kBytes> count{};
+  for (const Vertex v : keys) {
+    for (int b = 0; b < kBytes; ++b) ++count[b][(key(v) >> (8 * b)) & 0xffu];
+  }
+  std::vector<Vertex> out(keys.size());
+  for (int b = 0; b < kBytes; ++b) {
+    auto& c = count[b];
+    if (std::find(c.begin(), c.end(), keys.size()) != c.end()) continue;
+    std::size_t start = 0;
+    for (std::size_t& n : c) start += std::exchange(n, start);
+    for (const Vertex v : keys) out[c[(key(v) >> (8 * b)) & 0xffu]++] = v;
+    keys.swap(out);
+  }
 }
 
 }  // namespace
@@ -52,7 +78,7 @@ std::vector<Vertex> CsrDelta::dirty_vertices() const {
     dirty.push_back(u);
     dirty.push_back(v);
   }
-  std::sort(dirty.begin(), dirty.end());
+  radix_sort(dirty);
   dirty.erase(std::unique(dirty.begin(), dirty.end()), dirty.end());
   return dirty;
 }
@@ -103,21 +129,50 @@ Csr Csr::apply(CsrDelta& delta) const {
     STANCE_REQUIRE(u >= 0 && u < nv && v >= 0 && v < nv,
                    "apply: inserted edge endpoint out of range");
   }
+  for (const auto& [u, v] : delta.remove_edges) {
+    STANCE_REQUIRE(u >= 0 && u < nv && v >= 0 && v < nv,
+                   "apply: removed edge endpoint out of range");
+  }
   for (const auto& edit : delta.weight_edits) {
     STANCE_REQUIRE(edit.v >= 0 && edit.v < nv, "apply: weight edit vertex out of range");
     STANCE_REQUIRE(edit.w > 0.0, "apply: vertex weights must be positive");
   }
 
-  // edge_list() is already sorted (v ascending, neighbors ascending), so the
-  // removal is a linear set_difference; from_edges dedups re-inserted edges.
-  const std::vector<Edge> edges = edge_list();
-  std::vector<Edge> next;
-  next.reserve(edges.size() + delta.insert_edges.size());
-  std::set_difference(edges.begin(), edges.end(), delta.remove_edges.begin(),
-                      delta.remove_edges.end(), std::back_inserter(next));
-  next.insert(next.end(), delta.insert_edges.begin(), delta.insert_edges.end());
+  // Merge each sorted adjacency list with its vertex's sorted inserted arcs,
+  // skipping its removed arcs. Removal happens before insertion, so an edge
+  // in both lists stays present — the same graph, byte for byte, as
+  // from_edges((edge_list() \ remove) ∪ insert), without the global sort.
+  const Csr add = from_normalized_edges(nv, delta.insert_edges);
+  const Csr drop = from_normalized_edges(nv, delta.remove_edges);
+  Csr g;
+  g.offsets_.resize(static_cast<std::size_t>(nv) + 1);
+  g.targets_.reserve(targets_.size() + add.targets_.size());
+  for (Vertex v = 0; v < nv; ++v) {
+    g.offsets_[static_cast<std::size_t>(v)] = static_cast<EdgeIndex>(g.targets_.size());
+    const auto old = neighbors(v);
+    const auto ins = add.neighbors(v);
+    const auto rem = drop.neighbors(v);
+    if (ins.empty() && rem.empty()) {
+      g.targets_.insert(g.targets_.end(), old.begin(), old.end());
+      continue;
+    }
+    std::size_t i = 0;
+    std::size_t k = 0;
+    std::size_t r = 0;
+    while (i < old.size() || k < ins.size()) {
+      if (k == ins.size() || (i < old.size() && old[i] < ins[k])) {
+        const Vertex t = old[i++];
+        while (r < rem.size() && rem[r] < t) ++r;
+        if (r < rem.size() && rem[r] == t) continue;
+        g.targets_.push_back(t);
+      } else {
+        if (i < old.size() && old[i] == ins[k]) ++i;  // already present
+        g.targets_.push_back(ins[k++]);
+      }
+    }
+  }
+  g.offsets_.back() = static_cast<EdgeIndex>(g.targets_.size());
 
-  Csr g = from_edges(nv, next);
   if (has_coords()) g.set_coords(coords_);
   if (has_weights() || !delta.weight_edits.empty()) {
     std::vector<double> w =
@@ -127,6 +182,7 @@ Csr Csr::apply(CsrDelta& delta) const {
     }
     g.set_weights(std::move(w));
   }
+  // Memoized on g, so the next phase's base check is free.
   delta.result_fingerprint = g.fingerprint();
   return g;
 }

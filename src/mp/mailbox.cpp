@@ -1,6 +1,7 @@
 #include "mp/mailbox.hpp"
 
 #include <algorithm>
+#include <thread>
 #include <utility>
 
 #include "mp/errors.hpp"
@@ -58,6 +59,20 @@ void Mailbox::drain_locked() {
   while (ring_.try_pop(e)) accept(std::move(e));
   if (overflow_nonempty_.load(std::memory_order_acquire)) {
     const std::lock_guard<std::mutex> lock(overflow_mutex_);
+    // A sender's ring entries were all claimed before its later entries
+    // spilled here, but a slot claimed and not yet published (another
+    // sender mid-push) stops try_pop, leaving published entries behind it.
+    // Pop every position claimed so far first, waiting out such a slot;
+    // else a spilled entry could be matched ahead of an older ring entry
+    // from the same sender.
+    const std::size_t claimed = ring_.claimed();
+    while (ring_.popped() < claimed) {
+      if (ring_.try_pop(e)) {
+        accept(std::move(e));
+      } else {
+        std::this_thread::yield();  // the claimant publishes without a lock
+      }
+    }
     for (auto& o : overflow_) accept(std::move(o));
     overflow_.clear();
     overflow_nonempty_.store(false, std::memory_order_release);

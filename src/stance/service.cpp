@@ -82,8 +82,9 @@ Admission Service::submit(JobSpec spec) {
     }
   }
 
-  // Hash outside the lock: O(edges), and the digest also powers the batch
-  // check and the cache key later.
+  // Hash outside the lock: O(edges) on a mesh's first submission, memoized
+  // on the Csr after that; the digest also powers the batch check and the
+  // cache key later.
   const std::uint64_t mesh_fp = spec.mesh->fingerprint();
 
   std::lock_guard<std::mutex> lock(mutex_);

@@ -101,6 +101,16 @@ class MpscRing {
     return true;
   }
 
+  /// Positions producers have claimed so far. Every element whose push
+  /// started its claim before this call sits below it, published or not.
+  [[nodiscard]] std::size_t claimed() const noexcept {
+    return head_.load(std::memory_order_acquire);
+  }
+  /// Positions popped so far. Consumer side.
+  [[nodiscard]] std::size_t popped() const noexcept {
+    return tail_.load(std::memory_order_relaxed);
+  }
+
   [[nodiscard]] std::size_t capacity() const noexcept { return mask_ + 1; }
 
  private:

@@ -1,6 +1,12 @@
 // Unit tests for graph::Csr.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <latch>
+#include <thread>
+#include <utility>
+#include <vector>
+
 #include "graph/csr.hpp"
 
 namespace stance::graph {
@@ -128,6 +134,89 @@ TEST(Csr, PermutationSizeValidated) {
   const Csr g = triangle();
   const std::vector<Vertex> bad{0, 1};
   EXPECT_THROW(g.permuted(bad), std::invalid_argument);
+}
+
+// --- Fingerprint memo ---------------------------------------------------------
+
+// A ring with chords, large enough that concurrent first hashes overlap.
+Csr ring(Vertex n) {
+  std::vector<Edge> edges;
+  for (Vertex v = 0; v < n; ++v) {
+    edges.emplace_back(v, (v + 1) % n);
+    edges.emplace_back(v, (v + 7) % n);
+  }
+  return Csr::from_edges(n, edges);
+}
+
+TEST(CsrFingerprint, SettersAfterHashingMatchAFreshGraph) {
+  Csr g = triangle();
+  const std::uint64_t bare = g.fingerprint();
+  g.set_coords({{0, 0}, {1, 0}, {0, 1}});
+  Csr fresh = triangle();
+  fresh.set_coords({{0, 0}, {1, 0}, {0, 1}});
+  EXPECT_EQ(g.fingerprint(), fresh.fingerprint());
+  EXPECT_NE(g.fingerprint(), bare);
+
+  g.set_weights({1.0, 2.0, 3.0});
+  Csr fresh_w = triangle();
+  fresh_w.set_coords({{0, 0}, {1, 0}, {0, 1}});
+  fresh_w.set_weights({1.0, 2.0, 3.0});
+  EXPECT_EQ(g.fingerprint(), fresh_w.fingerprint());
+  EXPECT_NE(g.fingerprint(), fresh.fingerprint());
+
+  // A rejected set_weights leaves both the weights and the digest alone.
+  const std::uint64_t before = g.fingerprint();
+  EXPECT_THROW(g.set_weights({1.0, -1.0, 1.0}), std::invalid_argument);
+  EXPECT_EQ(g.fingerprint(), before);
+}
+
+TEST(CsrFingerprint, CopyAndMoveKeepTheDigest) {
+  Csr g = ring(64);
+  g.set_weights(std::vector<double>(64, 2.0));
+  const std::uint64_t fp = g.fingerprint();
+
+  const Csr copy = g;
+  EXPECT_EQ(copy.fingerprint(), fp);
+  Csr assigned = triangle();
+  (void)assigned.fingerprint();
+  assigned = g;
+  EXPECT_EQ(assigned.fingerprint(), fp);
+
+  Csr moved = std::move(assigned);
+  EXPECT_EQ(moved.fingerprint(), fp);
+  // The moved-from graph is empty and must not report the old digest.
+  EXPECT_EQ(assigned.num_vertices(), 0);
+  EXPECT_EQ(assigned.fingerprint(), Csr{}.fingerprint());
+  Csr move_assigned = triangle();
+  (void)move_assigned.fingerprint();
+  move_assigned = std::move(moved);
+  EXPECT_EQ(move_assigned.fingerprint(), fp);
+
+  // Editing a copy re-hashes it without touching the original's digest.
+  Csr edited = g;
+  edited.set_weights(std::vector<double>(64, 3.0));
+  EXPECT_NE(edited.fingerprint(), fp);
+  EXPECT_EQ(g.fingerprint(), fp);
+}
+
+TEST(CsrFingerprint, ConcurrentReadersOfOneConstGraphAgree) {
+  const Csr expected = ring(20000);
+  const std::uint64_t want = expected.fingerprint();
+  const Csr shared = ring(20000);  // digest not computed yet
+  constexpr int kThreads = 4;
+  std::vector<std::vector<std::uint64_t>> seen(kThreads);
+  std::latch start(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      start.arrive_and_wait();
+      for (int i = 0; i < 8; ++i) seen[static_cast<std::size_t>(t)].push_back(shared.fingerprint());
+    });
+  }
+  for (auto& th : threads) th.join();
+  for (const auto& per_thread : seen) {
+    EXPECT_EQ(per_thread, std::vector<std::uint64_t>(8, want));
+  }
 }
 
 }  // namespace

@@ -10,7 +10,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
+#include <iterator>
+#include <limits>
 #include <memory>
+#include <random>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -52,6 +56,34 @@ TEST(CsrDelta, NormalizeCanonicalizesEdgesAndWeights) {
   EXPECT_EQ(d.weight_edits[1].v, 4);
   EXPECT_EQ(d.weight_edits[1].w, 3.0);  // last edit per vertex wins
   EXPECT_EQ(d.dirty_vertices(), (std::vector<graph::Vertex>{1, 2, 4, 5, 7, 9}));
+}
+
+TEST(CsrDelta, DirtyVerticesMatchASortedEndpointList) {
+  // Ids spanning every byte of the radix sort, negatives included (a delta
+  // is only range-checked when applied), with repeats across both lists.
+  constexpr graph::Vertex kMax = std::numeric_limits<graph::Vertex>::max();
+  constexpr graph::Vertex kMin = std::numeric_limits<graph::Vertex>::min();
+  std::mt19937 rng(5);
+  std::uniform_int_distribution<graph::Vertex> any(kMin, kMax);
+  std::uniform_int_distribution<graph::Vertex> small(-300, 70000);
+  CsrDelta d;
+  d.insert_edges = {{kMax, kMin}, {0, -1}, {255, 256}, {65535, 65536}, {1 << 24, 7}};
+  d.remove_edges = {{256, 255}, {-1, kMax}, {3, 3}};
+  for (int i = 0; i < 500; ++i) {
+    d.insert_edges.emplace_back(small(rng), any(rng));
+    d.remove_edges.emplace_back(small(rng), small(rng));
+  }
+  std::vector<graph::Vertex> want;
+  for (const auto* list : {&d.insert_edges, &d.remove_edges}) {
+    for (const auto& [u, v] : *list) {
+      want.push_back(u);
+      want.push_back(v);
+    }
+  }
+  std::sort(want.begin(), want.end());
+  want.erase(std::unique(want.begin(), want.end()), want.end());
+  EXPECT_EQ(d.dirty_vertices(), want);
+  EXPECT_TRUE(CsrDelta{}.dirty_vertices().empty());
 }
 
 TEST(CsrDelta, ApplyEditsStructureAndStampsTheChain) {
@@ -122,6 +154,145 @@ TEST(CsrDelta, ApplyRefusesAMismatchedBase) {
   d.insert_edges = {{0, 50}};
   (void)g.apply(d);  // stamps base = g
   EXPECT_THROW((void)other.apply(d), std::invalid_argument);
+}
+
+TEST(CsrDelta, ApplyRejectsOutOfRangeRemovals) {
+  const Csr g = graph::random_delaunay(100, 21);
+  const graph::Vertex nv = g.num_vertices();
+  for (const graph::Edge& bad : {graph::Edge{0, nv}, graph::Edge{nv + 5, 3},
+                                graph::Edge{-1, 4}, graph::Edge{7, -2}}) {
+    CsrDelta d;
+    d.remove_edges = {bad};
+    EXPECT_THROW((void)g.apply(d), std::invalid_argument);
+  }
+  CsrDelta absent;
+  absent.remove_edges = {{0, nv - 1}};  // in range and absent: a no-op
+  EXPECT_EQ(g.apply(absent).fingerprint(), g.fingerprint());
+}
+
+// --- Csr::apply against the edge-list oracle -----------------------------------
+
+// The pre-merge algorithm, kept as the reference: rebuild from the edited
+// edge list. Removal precedes insertion, so an edge in both lists survives.
+Csr reference_apply(const Csr& g, CsrDelta d) {
+  d.normalize();
+  const auto edges = g.edge_list();
+  std::vector<graph::Edge> next;
+  std::set_difference(edges.begin(), edges.end(), d.remove_edges.begin(),
+                      d.remove_edges.end(), std::back_inserter(next));
+  next.insert(next.end(), d.insert_edges.begin(), d.insert_edges.end());
+  Csr r = Csr::from_edges(g.num_vertices(), next);
+  if (g.has_coords()) r.set_coords(g.coords());
+  if (g.has_weights() || !d.weight_edits.empty()) {
+    const auto nv = static_cast<std::size_t>(g.num_vertices());
+    std::vector<double> w = g.has_weights() ? g.weights() : std::vector<double>(nv, 1.0);
+    for (const auto& e : d.weight_edits) w[static_cast<std::size_t>(e.v)] = e.w;
+    r.set_weights(std::move(w));
+  }
+  return r;
+}
+
+// A delta mixing every awkward case apply must absorb: inserts of present
+// edges, removals of absent ones, the same edge in both lists, self loops,
+// duplicates, reversed pairs, and the extreme vertices 0 and nv-1.
+CsrDelta random_delta(const Csr& g, std::mt19937& rng) {
+  const graph::Vertex nv = g.num_vertices();
+  std::uniform_int_distribution<graph::Vertex> vert(0, nv - 1);
+  const auto edges = g.edge_list();
+  auto present = [&] {
+    return edges[std::uniform_int_distribution<std::size_t>(0, edges.size() - 1)(rng)];
+  };
+  CsrDelta d;
+  for (int i = 0; i < 12; ++i) d.insert_edges.emplace_back(vert(rng), vert(rng));
+  for (int i = 0; i < 8; ++i) d.remove_edges.emplace_back(vert(rng), vert(rng));
+  if (!edges.empty()) {
+    for (int i = 0; i < 10; ++i) d.remove_edges.push_back(present());
+    for (int i = 0; i < 3; ++i) d.insert_edges.push_back(present());
+    const auto [a, b] = present();
+    d.remove_edges.emplace_back(b, a);  // reversed pair, and re-inserted
+    d.insert_edges.emplace_back(a, b);
+  }
+  const graph::Vertex x = vert(rng);
+  d.insert_edges.emplace_back(x, x);  // self loops are dropped
+  d.remove_edges.emplace_back(x, x);
+  d.insert_edges.emplace_back(0, nv - 1);
+  d.insert_edges.emplace_back(nv - 1, 0);  // duplicate, reversed
+  d.remove_edges.emplace_back(0, vert(rng));
+  d.remove_edges.emplace_back(vert(rng), nv - 1);
+  const auto fresh = std::pair{vert(rng), vert(rng)};
+  d.insert_edges.push_back(fresh);  // new edge in both lists: present after
+  d.remove_edges.push_back(fresh);
+  if (rng() % 2 == 0) {
+    d.weight_edits = {{vert(rng), 2.5}, {nv - 1, 0.5}, {0, 3.0}};
+  }
+  return d;
+}
+
+void expect_same_graph(const Csr& got, const Csr& want) {
+  for (graph::Vertex v = 0; v < got.num_vertices(); ++v) {
+    const auto row = got.neighbors(v);
+    EXPECT_TRUE(std::adjacent_find(row.begin(), row.end(), std::greater_equal<>()) == row.end())
+        << "row " << v << " is not strictly ascending";
+  }
+  EXPECT_EQ(got.offsets(), want.offsets());
+  EXPECT_EQ(got.targets(), want.targets());
+  EXPECT_EQ(got.coords().size(), want.coords().size());
+  for (std::size_t i = 0; i < std::min(got.coords().size(), want.coords().size()); ++i) {
+    EXPECT_EQ(got.coords()[i].x, want.coords()[i].x);
+    EXPECT_EQ(got.coords()[i].y, want.coords()[i].y);
+  }
+  EXPECT_EQ(got.weights(), want.weights());
+  EXPECT_EQ(got.fingerprint(), want.fingerprint());
+}
+
+TEST(CsrApplyOracle, RandomDeltaChainsMatchTheEdgeListRebuild) {
+  for (const std::uint32_t seed : {1u, 2u, 3u, 4u}) {
+    std::mt19937 rng(seed);
+    // A sparse graph whose odd vertices start isolated, beside two meshes.
+    std::vector<graph::Edge> sparse;
+    for (graph::Vertex v = 0; v + 2 < 80; v += 2) sparse.emplace_back(v, v + 2);
+    std::vector<Csr> meshes{graph::random_delaunay(300, seed), graph::grid_2d(9, 7),
+                            Csr::from_edges(81, sparse)};
+    if (seed % 2 == 0) {  // weighted starting graphs on even seeds
+      for (Csr& m : meshes) {
+        std::vector<double> w(static_cast<std::size_t>(m.num_vertices()));
+        for (std::size_t i = 0; i < w.size(); ++i) w[i] = 1.0 + static_cast<double>(i % 5);
+        m.set_weights(std::move(w));
+      }
+    }
+    for (const Csr& mesh : meshes) {
+      Csr g = mesh;
+      for (int step = 0; step < 12; ++step) {
+        SCOPED_TRACE(testing::Message() << "seed " << seed << " nv " << g.num_vertices()
+                                        << " step " << step);
+        CsrDelta d = random_delta(g, rng);
+        const Csr want = reference_apply(g, d);
+        const Csr got = g.apply(d);
+        expect_same_graph(got, want);
+        EXPECT_TRUE(got.is_symmetric());
+        EXPECT_EQ(d.base_fingerprint, g.fingerprint());
+        EXPECT_EQ(d.result_fingerprint, want.fingerprint());
+        g = got;
+      }
+    }
+  }
+}
+
+TEST(CsrApplyOracle, EmptyGraphAndEdgelessDeltas) {
+  const Csr empty = Csr::from_edges(0, {});
+  CsrDelta d0;
+  expect_same_graph(empty.apply(d0), reference_apply(empty, d0));
+
+  const Csr lonely = Csr::from_edges(4, {});  // every vertex isolated
+  CsrDelta d1;
+  d1.insert_edges = {{3, 0}, {1, 1}};
+  d1.remove_edges = {{0, 2}};
+  const Csr g1 = lonely.apply(d1);
+  expect_same_graph(g1, reference_apply(lonely, d1));
+  CsrDelta d2;
+  d2.remove_edges = {{0, 3}};  // back to edgeless
+  expect_same_graph(g1.apply(d2), reference_apply(g1, d2));
+  EXPECT_EQ(g1.apply(d2).num_edges(), 0);
 }
 
 // --- RemapDelta factories ----------------------------------------------------

@@ -46,11 +46,14 @@ TEST(MpscRing, FullRingRejectsWithoutConsuming) {
   MpscRing<int> ring(4);
   for (int i = 0; i < 4; ++i) ASSERT_TRUE(ring.try_push(int{i}));
   EXPECT_FALSE(ring.try_push(99));
+  EXPECT_EQ(ring.claimed(), 4u);  // a rejected push claims no position
   // One pop frees exactly one slot; FIFO order is undisturbed.
   int out = -1;
   ASSERT_TRUE(ring.try_pop(out));
   EXPECT_EQ(out, 0);
+  EXPECT_EQ(ring.popped(), 1u);
   EXPECT_TRUE(ring.try_push(4));
+  EXPECT_EQ(ring.claimed(), 5u);
   for (int expect = 1; expect <= 4; ++expect) {
     ASSERT_TRUE(ring.try_pop(out));
     EXPECT_EQ(out, expect);
@@ -231,6 +234,7 @@ TEST(MailboxStress, DelayedFramesStillMatchInSendOrder) {
   // backend.
   mp::Cluster cluster(sim::MachineSpec::uniform(3));
   cluster.set_fault_plan(FaultPlan{
+      .kills = {},
       .frames = {FrameRule{.from = 1, .to = 0, .after_nth = 0, .count = 50,
                            .fault = FrameFault::kDelay,
                            .delay_seconds = 0.25}}});
@@ -256,7 +260,7 @@ TEST(MailboxStress, KillDuringFloodReleasesReceiverWithPeerFailed) {
   // hang — on every backend.
   mp::Cluster cluster(sim::MachineSpec::uniform(2));
   cluster.set_fault_plan(
-      FaultPlan{.kills = {KillRule{.rank = 1, .after_sends = 25}}});
+      FaultPlan{.kills = {KillRule{.rank = 1, .after_sends = 25}}, .frames = {}});
   std::atomic<bool> observed{false};
   cluster.run([&](mp::Process& p) {
     try {

@@ -433,20 +433,26 @@ TEST(ServiceStress, ConcurrentDrainIsRejected) {
   for (int i = 0; i < 6; ++i) {
     ASSERT_TRUE(svc.submit(job_for(mesh, "a", 1 + i % 3)).accepted);
   }
-  std::atomic<bool> second_threw{false};
+  // Either drain may enter first; the other finishes after it or throws
+  // single-flight. Which one is timing-dependent; the invariant is no crash
+  // and at most one refusal.
+  std::atomic<int> refused{0};
+  const auto drain_once = [&] {
+    try {
+      (void)svc.drain();
+    } catch (const std::invalid_argument&) {
+      ++refused;
+    }
+  };
   std::atomic<bool> first_started{false};
   std::thread first([&] {
     first_started.store(true);
-    (void)svc.drain();
+    drain_once();
   });
   while (!first_started.load()) std::this_thread::yield();
-  try {
-    (void)svc.drain();  // either finishes after `first` or throws single-flight
-  } catch (const std::invalid_argument&) {
-    second_threw.store(true);
-  }
+  drain_once();
   first.join();
-  (void)second_threw;  // timing-dependent either way; the invariant is no crash
+  EXPECT_LE(refused.load(), 1);
   EXPECT_EQ(svc.stats().queued, 0u);
 }
 
