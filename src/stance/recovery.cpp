@@ -12,14 +12,6 @@
 namespace stance {
 namespace {
 
-std::vector<double> initial_global(const graph::Csr& mesh) {
-  std::vector<double> y(static_cast<std::size_t>(mesh.num_vertices()));
-  for (graph::Vertex g = 0; g < mesh.num_vertices(); ++g) {
-    y[static_cast<std::size_t>(g)] = Session::initial_value(g);
-  }
-  return y;
-}
-
 std::vector<double> node_speeds(const sim::MachineSpec& machine) {
   std::vector<double> w;
   w.reserve(machine.size());
@@ -27,17 +19,14 @@ std::vector<double> node_speeds(const sim::MachineSpec& machine) {
   return w;
 }
 
-/// Phase B on zeroed clocks; returns its makespan.
-double build_wave(mp::Cluster& cluster, const graph::Csr& mesh,
-                  const partition::IntervalPartition& part, const ResilientOptions& opts,
-                  std::vector<sched::InspectorResult>& out) {
-  out.resize(static_cast<std::size_t>(cluster.nprocs()));
-  cluster.reset_clocks();
-  cluster.run([&](mp::Process& p) {
-    out[static_cast<std::size_t>(p.rank())] =
-        sched::build_schedule(p, mesh, part, opts.build, opts.cpu);
-  });
-  return cluster.makespan();
+/// Static runs: the executor cycle with the load-balance check off.
+lb::AdaptiveOptions static_options(const ResilientOptions& opts) {
+  lb::AdaptiveOptions a;
+  a.build = opts.build;
+  a.cpu = opts.cpu;
+  a.loop = opts.loop;
+  a.enable_lb = false;
+  return a;
 }
 
 /// Scatter the global vector into one rank's owned slice.
@@ -73,17 +62,14 @@ std::vector<double> run_reference_from(const graph::Csr& mesh,
   const auto part =
       partition::IntervalPartition::from_weights(mesh.num_vertices(), node_speeds(machine));
   mp::Cluster cluster(machine, opts.transport);
-  std::vector<sched::InspectorResult> schedules;
-  build_wave(cluster, mesh, part, opts, schedules);
+  const auto execs = build_executors(cluster, mesh, part, static_options(opts));
 
   std::vector<std::vector<double>> per_rank(machine.size());
   cluster.reset_clocks();
   cluster.run([&](mp::Process& p) {
     const auto r = static_cast<std::size_t>(p.rank());
-    exec::IrregularLoop loop(schedules[r].lgraph, schedules[r].schedule, opts.loop,
-                             opts.cpu);
     std::vector<double> y = slice_of(y0, part, p.rank());
-    loop.iterate(p, y, iterations);
+    execs[r]->run(p, y, iterations);
     per_rank[r] = std::move(y);
   });
 
@@ -105,8 +91,7 @@ ResilientResult run_resilient(const graph::Csr& mesh, const sim::MachineSpec& ma
                  "run_resilient: expects one rank per node (the paper's testbed shape)");
 
   // Phase B, failure-free: faults are installed for the loop wave only.
-  std::vector<sched::InspectorResult> schedules;
-  build_wave(cluster, mesh, part, opts, schedules);
+  const auto execs = build_executors(cluster, mesh, part, static_options(opts));
 
   ResilientResult result;
   CheckpointStore store(p, static_cast<std::size_t>(nv));
@@ -114,21 +99,22 @@ ResilientResult run_resilient(const graph::Csr& mesh, const sim::MachineSpec& ma
   std::vector<std::optional<mp::Process::SurvivorSet>> agreed(static_cast<std::size_t>(p));
   std::vector<double> agree_cost(static_cast<std::size_t>(p), 0.0);
   std::vector<double> ckpt_cost(static_cast<std::size_t>(p), 0.0);
-  const std::vector<double> y_init = initial_global(mesh);
 
   cluster.set_fault_plan(opts.faults);
   cluster.reset_clocks();
   cluster.run([&](mp::Process& pr) {
     const auto r = static_cast<std::size_t>(pr.rank());
-    exec::IrregularLoop loop(schedules[r].lgraph, schedules[r].schedule, opts.loop,
-                             opts.cpu);
-    std::vector<double> y = slice_of(y_init, part, pr.rank());
+    std::vector<double> y = Session::initial_values(part.first(pr.rank()), part.size(pr.rank()));
     try {
-      for (int it = 0; it < opts.iterations; ++it) {
-        loop.iterate(pr, y, 1);
-        const int done = it + 1;
-        if (opts.checkpoint_every > 0 && done % opts.checkpoint_every == 0 &&
-            done < opts.iterations) {
+      // Chunks of checkpoint_every sweeps, saving between chunks. A chunk of
+      // k is exactly k single sweeps, so every send (and every fault-plan
+      // trigger) lands where a sweep-by-sweep loop would put it.
+      const int chunk = opts.checkpoint_every > 0 ? opts.checkpoint_every : opts.iterations;
+      for (int done = 0; done < opts.iterations;) {
+        const int n = std::min(chunk, opts.iterations - done);
+        execs[r]->run(pr, y, n);
+        done += n;
+        if (opts.checkpoint_every > 0 && done < opts.iterations) {
           const std::size_t bytes =
               store.save(pr.rank(), done, static_cast<std::size_t>(part.first(pr.rank())),
                          y);
@@ -178,7 +164,7 @@ ResilientResult run_resilient(const graph::Csr& mesh, const sim::MachineSpec& ma
   // Restore point: last committed checkpoint, or the initial state.
   auto checkpoint = store.last();
   result.resume_iteration = checkpoint ? checkpoint->iteration : 0;
-  std::vector<double> y0 = checkpoint ? std::move(checkpoint->y) : y_init;
+  std::vector<double> y0 = checkpoint ? std::move(checkpoint->y) : Session::initial_values(0, nv);
   const int remaining = opts.iterations - result.resume_iteration;
 
   // Shrink to the survivors: their nodes, their speeds, a fresh cluster
@@ -187,9 +173,9 @@ ResilientResult run_resilient(const graph::Csr& mesh, const sim::MachineSpec& ma
   mp::Cluster survivor_cluster(survivor_spec, opts.transport);
   const auto survivor_part =
       partition::IntervalPartition::from_weights(nv, node_speeds(survivor_spec));
-  std::vector<sched::InspectorResult> survivor_schedules;
-  result.costs.rebuild_virtual_seconds =
-      build_wave(survivor_cluster, mesh, survivor_part, opts, survivor_schedules);
+  const auto survivor_execs =
+      build_executors(survivor_cluster, mesh, survivor_part, static_options(opts));
+  result.costs.rebuild_virtual_seconds = survivor_cluster.makespan();
 
   const int sp = static_cast<int>(survivor_spec.size());
   std::vector<std::vector<double>> survivor_y(static_cast<std::size_t>(sp));
@@ -201,11 +187,7 @@ ResilientResult run_resilient(const graph::Csr& mesh, const sim::MachineSpec& ma
     const double cost = opts.checkpoint_cost.seconds(y.size() * sizeof(double));
     pr.clock().advance_delay(cost);  // reload from stable storage
     restore_cost[r] = cost;
-    if (remaining > 0) {
-      exec::IrregularLoop loop(survivor_schedules[r].lgraph,
-                               survivor_schedules[r].schedule, opts.loop, opts.cpu);
-      loop.iterate(pr, y, remaining);
-    }
+    survivor_execs[r]->run(pr, y, remaining);
     survivor_y[r] = std::move(y);
   });
   result.costs.restore_virtual_seconds =

@@ -3,16 +3,18 @@
 // run_resilient() executes the paper's irregular-loop experiment under an
 // optional FaultPlan and survives losing ranks:
 //
-//   1. Phase B builds schedules, then the loop runs with periodic
-//      checkpoints (stance/checkpoint.hpp) charged to the virtual clock.
+//   1. Phase B builds one lb::AdaptiveExecutor per rank with the
+//      load-balance check off (a static run of the one loop driver), then
+//      the loop runs in chunks of checkpoint_every sweeps with a checkpoint
+//      (stance/checkpoint.hpp) charged to the virtual clock between chunks.
 //   2. When a rank dies, every survivor's blocked operation resolves into
 //      mp::PeerFailed; the survivor charges the detection cost, joins
 //      Process::agree_on_survivors, and leaves the wave cleanly.
 //   3. The driver shrinks the machine to the survivors
 //      (MachineSpec::subset; delegate re-election is NodeMap::shrink_to),
-//      rebuilds schedules for the survivor partition on a fresh cluster,
-//      restores the last committed checkpoint, and reruns the remaining
-//      iterations.
+//      builds static executors for the survivor partition on a fresh
+//      cluster, restores the last committed checkpoint, and reruns the
+//      remaining iterations.
 //
 // Because the parallel loop is bit-compatible with the sequential reference
 // regardless of partition, the recovered run's final values are
@@ -23,7 +25,8 @@
 //
 // Scope (documented limitation): one failure burst per run. Survivors of a
 // second failure during the *recovered* wave would abort rather than
-// recover again; rejoin of repaired ranks is future work (ROADMAP).
+// recover again; rejoin of repaired ranks is future work (ROADMAP). The
+// executors never remap: recovering an adaptive run is future work too.
 #pragma once
 
 #include <vector>

@@ -183,11 +183,7 @@ void Service::execute(std::vector<Job>& batch, std::unique_lock<std::mutex>& loc
     exec::ExecConfig exec_cfg;
     if (!plan->coalesce.empty()) exec_cfg.coalesce_plan = &plan->coalesce[r];
     loop.configure(exec_cfg);
-    std::vector<double> y(static_cast<std::size_t>(part.size(p.rank())));
-    for (std::size_t i = 0; i < y.size(); ++i) {
-      y[i] = Session::initial_value(
-          part.to_global(p.rank(), static_cast<graph::Vertex>(i)));
-    }
+    std::vector<double> y = Session::initial_values(part.first(p.rank()), part.size(p.rank()));
     loop.iterate(p, y, spec.iterations);
     double sum = 0.0;
     for (const double v : y) sum += v;

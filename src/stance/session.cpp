@@ -26,15 +26,64 @@ std::vector<double> Session::sequential_times(int iterations) const {
   return t;
 }
 
-double Session::build_phase(const partition::IntervalPartition& part,
-                            std::vector<sched::InspectorResult>& out) {
-  out.resize(cfg_.machine.size());
+std::vector<double> Session::initial_values(graph::Vertex first, graph::Vertex count) {
+  std::vector<double> y(static_cast<std::size_t>(count));
+  for (std::size_t i = 0; i < y.size(); ++i) {
+    y[i] = initial_value(first + static_cast<graph::Vertex>(i));
+  }
+  return y;
+}
+
+std::vector<std::unique_ptr<lb::AdaptiveExecutor>> build_executors(
+    mp::Cluster& cluster, const graph::Csr& mesh,
+    const partition::IntervalPartition& part, const lb::AdaptiveOptions& opts) {
+  std::vector<std::unique_ptr<lb::AdaptiveExecutor>> execs(
+      static_cast<std::size_t>(cluster.nprocs()));
+  cluster.reset_clocks();
+  cluster.run([&](mp::Process& p) {
+    execs[static_cast<std::size_t>(p.rank())] =
+        std::make_unique<lb::AdaptiveExecutor>(p, mesh, part, opts);
+  });
+  return execs;
+}
+
+namespace {
+
+/// Per-rank sums, then their sum in rank order (cross-run determinism).
+double checksum_of(const std::vector<std::vector<double>>& per_rank) {
+  double checksum = 0.0;
+  for (const auto& y : per_rank) {
+    double sum = 0.0;
+    for (const double v : y) sum += v;
+    checksum += sum;
+  }
+  return checksum;
+}
+
+}  // namespace
+
+Session::LoopRun Session::run_loop(const partition::IntervalPartition& part,
+                                   int iterations, lb::LbOptions lb, bool enable_lb) {
+  lb::AdaptiveOptions opts;
+  opts.lb = lb;
+  opts.build = cfg_.build;
+  opts.cpu = cfg_.cpu;
+  opts.loop = cfg_.loop;
+  opts.enable_lb = enable_lb;
+  const auto execs = build_executors(*cluster_, mesh_, part, opts);
+
+  LoopRun run;
+  run.build_seconds = cluster_->makespan();
+  run.y.resize(cfg_.machine.size());
+  run.reports.resize(cfg_.machine.size());
   cluster_->reset_clocks();
   cluster_->run([&](mp::Process& p) {
-    out[static_cast<std::size_t>(p.rank())] =
-        sched::build_schedule(p, mesh_, part, cfg_.build, cfg_.cpu);
+    const auto r = static_cast<std::size_t>(p.rank());
+    std::vector<double> y = initial_values(part.first(p.rank()), part.size(p.rank()));
+    run.reports[r] = execs[r]->run(p, y, iterations);
+    run.y[r] = std::move(y);
   });
-  return cluster_->makespan();
+  return run;
 }
 
 StaticRunResult Session::run_static(int iterations) {
@@ -49,33 +98,14 @@ StaticRunResult Session::run_static_weighted(int iterations, std::vector<double>
                  "run_static: one weight per node required");
   const auto part = partition::IntervalPartition::from_weights(mesh_.num_vertices(),
                                                                weights);
+  const LoopRun run = run_loop(part, iterations, {}, /*enable_lb=*/false);
   StaticRunResult result;
-  std::vector<sched::InspectorResult> schedules;
-  result.build_seconds = build_phase(part, schedules);
-
-  // Loop phase on fresh clocks.
-  std::vector<double> checksums(cfg_.machine.size(), 0.0);
-  cluster_->reset_clocks();
-  cluster_->run([&](mp::Process& p) {
-    const auto r = static_cast<std::size_t>(p.rank());
-    const auto& ir = schedules[r];
-    exec::IrregularLoop loop(ir.lgraph, ir.schedule, cfg_.loop, cfg_.cpu);
-    std::vector<double> y(static_cast<std::size_t>(part.size(p.rank())));
-    for (std::size_t i = 0; i < y.size(); ++i) {
-      y[i] = initial_value(part.to_global(p.rank(), static_cast<graph::Vertex>(i)));
-    }
-    loop.iterate(p, y, iterations);
-    double sum = 0.0;
-    for (const double v : y) sum += v;
-    checksums[r] = sum;
-  });
+  result.build_seconds = run.build_seconds;
   result.loop_seconds = cluster_->makespan();
   result.finish_times = cluster_->finish_times();
   result.loop_stats = cluster_->total_stats();
-  for (const double c : checksums) result.checksum += c;
-
-  const auto seq = sequential_times(iterations);
-  result.efficiency = nonuniform_efficiency(result.loop_seconds, seq);
+  result.checksum = checksum_of(run.y);
+  result.efficiency = nonuniform_efficiency(result.loop_seconds, sequential_times(iterations));
   return result;
 }
 
@@ -85,48 +115,18 @@ AdaptiveRunResult Session::run_adaptive(int iterations, lb::LbOptions lb, bool e
   const std::vector<double> equal(cfg_.machine.size(), 1.0);
   const auto part =
       partition::IntervalPartition::from_weights(mesh_.num_vertices(), equal);
+  const LoopRun run = run_loop(part, iterations, lb, enable_lb);
 
-  lb::AdaptiveOptions opts;
-  opts.lb = lb;
-  opts.build = cfg_.build;
-  opts.cpu = cfg_.cpu;
-  opts.loop = cfg_.loop;
-  opts.enable_lb = enable_lb;
-
-  // Phase B on fresh clocks (excluded from the loop measurement, matching
-  // the paper's table layout).
-  std::vector<std::unique_ptr<lb::AdaptiveExecutor>> execs(cfg_.machine.size());
-  cluster_->reset_clocks();
-  cluster_->run([&](mp::Process& p) {
-    execs[static_cast<std::size_t>(p.rank())] =
-        std::make_unique<lb::AdaptiveExecutor>(p, mesh_, part, opts);
-  });
   AdaptiveRunResult result;
-  result.build_seconds = cluster_->makespan();
-
-  std::vector<lb::AdaptiveReport> reports(cfg_.machine.size());
-  std::vector<double> checksums(cfg_.machine.size(), 0.0);
-  cluster_->reset_clocks();
-  cluster_->run([&](mp::Process& p) {
-    const auto r = static_cast<std::size_t>(p.rank());
-    auto& ax = *execs[r];
-    std::vector<double> y(static_cast<std::size_t>(ax.partition().size(p.rank())));
-    for (std::size_t i = 0; i < y.size(); ++i) {
-      y[i] = initial_value(ax.partition().to_global(p.rank(), static_cast<graph::Vertex>(i)));
-    }
-    reports[r] = ax.run(p, y, iterations);
-    double sum = 0.0;
-    for (const double v : y) sum += v;
-    checksums[r] = sum;
-  });
+  result.build_seconds = run.build_seconds;
   result.loop_seconds = cluster_->makespan();
-  for (const auto& rep : reports) {
+  for (const auto& rep : run.reports) {
     result.checks = std::max(result.checks, rep.checks);
     result.remaps = std::max(result.remaps, rep.remaps);
     result.check_seconds = std::max(result.check_seconds, rep.check_seconds);
     result.remap_seconds = std::max(result.remap_seconds, rep.remap_seconds);
   }
-  for (const double c : checksums) result.checksum += c;
+  result.checksum = checksum_of(run.y);
   return result;
 }
 
@@ -135,36 +135,16 @@ double Session::verify_against_reference(int iterations) {
   std::vector<double> weights;
   for (const auto& node : cfg_.machine.nodes) weights.push_back(node.speed);
   const auto part = partition::IntervalPartition::from_weights(nv, weights);
-
-  std::vector<sched::InspectorResult> schedules;
-  build_phase(part, schedules);
-
-  std::vector<std::vector<double>> per_rank(cfg_.machine.size());
-  cluster_->reset_clocks();
-  cluster_->run([&](mp::Process& p) {
-    const auto r = static_cast<std::size_t>(p.rank());
-    const auto& ir = schedules[r];
-    exec::IrregularLoop loop(ir.lgraph, ir.schedule, cfg_.loop, cfg_.cpu);
-    std::vector<double> y(static_cast<std::size_t>(part.size(p.rank())));
-    for (std::size_t i = 0; i < y.size(); ++i) {
-      y[i] = initial_value(part.to_global(p.rank(), static_cast<graph::Vertex>(i)));
-    }
-    loop.iterate(p, y, iterations);
-    per_rank[r] = std::move(y);
-  });
+  // Static run: the final partition is `part`.
+  const LoopRun run = run_loop(part, iterations, {}, /*enable_lb=*/false);
 
   std::vector<double> parallel(static_cast<std::size_t>(nv));
-  for (int r = 0; r < static_cast<int>(cfg_.machine.size()); ++r) {
-    for (graph::Vertex i = 0; i < part.size(r); ++i) {
-      parallel[static_cast<std::size_t>(part.to_global(r, i))] =
-          per_rank[static_cast<std::size_t>(r)][static_cast<std::size_t>(i)];
-    }
+  for (std::size_t r = 0; r < run.y.size(); ++r) {
+    std::copy(run.y[r].begin(), run.y[r].end(),
+              parallel.begin() + static_cast<std::ptrdiff_t>(part.first(static_cast<mp::Rank>(r))));
   }
 
-  std::vector<double> reference(static_cast<std::size_t>(nv));
-  for (graph::Vertex g = 0; g < nv; ++g) {
-    reference[static_cast<std::size_t>(g)] = initial_value(g);
-  }
+  std::vector<double> reference = initial_values(0, nv);
   exec::IrregularLoop::reference_iterate(mesh_, reference, iterations);
 
   double max_diff = 0.0;

@@ -6,10 +6,13 @@
 //   s.cluster().set_profile(1, competing);     // make the environment adapt
 //   auto a = s.run_adaptive(500, lb, true);    // Phases B + C + D
 //
-// Timing discipline: every run first executes Phase B on zeroed clocks,
-// records its cost, zeroes the clocks again, and then times the loop phase —
-// matching the paper, which reports schedule-construction time (Table 3)
-// separately from loop time (Tables 4-5).
+// Every run goes through lb::AdaptiveExecutor, the one loop driver: a
+// static run is the same Phase B/C/D cycle with the load-balance check off
+// (enable_lb = false). Timing discipline: the executors are constructed
+// (Phase B) on zeroed clocks, that makespan is recorded, the clocks are
+// zeroed again, and then the loop phase is timed — matching the paper, which
+// reports schedule-construction time (Table 3) separately from loop time
+// (Tables 4-5).
 #pragma once
 
 #include <cstdint>
@@ -88,14 +91,32 @@ class Session {
     return 1.0 + static_cast<double>(g % 97) * 0.25;
   }
 
+  /// initial_value of the global ids [first, first + count): a rank's owned
+  /// slice (part.first(r), part.size(r)), or from 0 the whole vector.
+  [[nodiscard]] static std::vector<double> initial_values(graph::Vertex first, graph::Vertex count);
+
  private:
-  /// Build per-rank schedules on zeroed clocks; returns makespan.
-  double build_phase(const partition::IntervalPartition& part,
-                     std::vector<sched::InspectorResult>& out);
+  /// One loop run: executors for `part` on zeroed clocks (Phase B), then
+  /// `iterations` sweeps from initial_values on fresh clocks. The cluster's
+  /// last run is the loop phase.
+  struct LoopRun {
+    double build_seconds = 0.0;               ///< Phase B makespan
+    std::vector<std::vector<double>> y;       ///< per rank, final partition
+    std::vector<lb::AdaptiveReport> reports;  ///< per rank
+  };
+  LoopRun run_loop(const partition::IntervalPartition& part, int iterations,
+                   lb::LbOptions lb, bool enable_lb);
 
   SessionConfig cfg_;
   graph::Csr mesh_;  ///< permuted by cfg.ordering
   std::unique_ptr<mp::Cluster> cluster_;
 };
+
+/// Phase B on zeroed clocks: one lb::AdaptiveExecutor per rank of `cluster`
+/// (construction is collective and builds each rank's schedule). The
+/// cluster's makespan afterwards is the Phase B time.
+[[nodiscard]] std::vector<std::unique_ptr<lb::AdaptiveExecutor>> build_executors(
+    mp::Cluster& cluster, const graph::Csr& mesh,
+    const partition::IntervalPartition& part, const lb::AdaptiveOptions& opts);
 
 }  // namespace stance

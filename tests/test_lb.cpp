@@ -320,6 +320,20 @@ TEST(AdaptiveExecutor, ValidatesInputs) {
                  AdaptiveExecutor ax(p, g, bad, adaptive_opts(true));
                }),
                std::invalid_argument);
+  // A check interval below one would never advance run() (0) or fail later
+  // with the wrong cause (negative); it is rejected at construction. With
+  // the check off the interval is unused, so it is accepted.
+  const auto part = IntervalPartition::from_weights(g.num_vertices(), std::vector<double>{1, 1});
+  for (const int interval : {0, -1}) {
+    AdaptiveOptions opts = adaptive_opts(true);
+    opts.lb.check_interval = interval;
+    EXPECT_THROW(cluster.run([&](mp::Process& p) { AdaptiveExecutor ax(p, g, part, opts); }),
+                 std::invalid_argument)
+        << "check_interval " << interval;
+    opts.enable_lb = false;
+    EXPECT_NO_THROW(cluster.run([&](mp::Process& p) { AdaptiveExecutor ax(p, g, part, opts); }))
+        << "check_interval " << interval;
+  }
 }
 
 }  // namespace

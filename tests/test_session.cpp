@@ -136,6 +136,73 @@ TEST(Session, AllBuildersRunTheFullPipeline) {
   }
 }
 
+// --- static path oracle ------------------------------------------------------------
+
+// Reference for the static path, written out by hand without
+// lb::AdaptiveExecutor: per-rank build_schedule on zeroed clocks,
+// IrregularLoop::iterate on fresh clocks, then the checksum.
+StaticRunResult hand_written_static(Session& s, int iterations,
+                                    const std::vector<double>& weights) {
+  const SessionConfig& cfg = s.config();
+  mp::Cluster& cluster = s.cluster();
+  const auto part = partition::IntervalPartition::from_weights(s.mesh().num_vertices(), weights);
+  std::vector<sched::InspectorResult> schedules(cfg.machine.size());
+  cluster.reset_clocks();
+  cluster.run([&](mp::Process& p) {
+    schedules[static_cast<std::size_t>(p.rank())] =
+        sched::build_schedule(p, s.mesh(), part, cfg.build, cfg.cpu);
+  });
+  StaticRunResult result;
+  result.build_seconds = cluster.makespan();
+
+  std::vector<double> checksums(cfg.machine.size(), 0.0);
+  cluster.reset_clocks();
+  cluster.run([&](mp::Process& p) {
+    const auto r = static_cast<std::size_t>(p.rank());
+    exec::IrregularLoop loop(schedules[r].lgraph, schedules[r].schedule, cfg.loop, cfg.cpu);
+    std::vector<double> y(static_cast<std::size_t>(part.size(p.rank())));
+    for (std::size_t i = 0; i < y.size(); ++i) {
+      y[i] = Session::initial_value(part.first(p.rank()) + static_cast<graph::Vertex>(i));
+    }
+    loop.iterate(p, y, iterations);
+    double sum = 0.0;
+    for (const double v : y) sum += v;
+    checksums[r] = sum;
+  });
+  result.loop_seconds = cluster.makespan();
+  result.finish_times = cluster.finish_times();
+  result.loop_stats = cluster.total_stats();
+  for (const double c : checksums) result.checksum += c;
+  return result;
+}
+
+void expect_identical(const StaticRunResult& got, const StaticRunResult& want) {
+  EXPECT_EQ(got.build_seconds, want.build_seconds);
+  EXPECT_EQ(got.loop_seconds, want.loop_seconds);
+  EXPECT_EQ(got.finish_times, want.finish_times);
+  EXPECT_EQ(got.loop_stats.messages_sent, want.loop_stats.messages_sent);
+  EXPECT_EQ(got.loop_stats.bytes_sent, want.loop_stats.bytes_sent);
+  EXPECT_EQ(got.checksum, want.checksum);
+}
+
+TEST(Session, StaticRunsMatchHandWrittenLoopExactly) {
+  const auto mesh = small_mesh();
+  for (const auto& machine :
+       {sim::MachineSpec::uniform_ethernet(3), sim::MachineSpec::heterogeneous(4)}) {
+    SCOPED_TRACE(machine.size());
+    SessionConfig cfg = small_config(1);
+    cfg.machine = machine;
+    Session s(mesh, cfg);
+    std::vector<double> speeds;
+    for (const auto& node : machine.nodes) speeds.push_back(node.speed);
+    expect_identical(s.run_static(12), hand_written_static(s, 12, speeds));
+
+    std::vector<double> skewed(machine.size(), 1.0);
+    skewed.front() = 3.0;
+    expect_identical(s.run_static_weighted(12, skewed), hand_written_static(s, 12, skewed));
+  }
+}
+
 // --- adaptive runs ----------------------------------------------------------------
 
 lb::LbOptions test_lb_options() {
