@@ -151,6 +151,18 @@ TEST(Lanczos, ResultIsDeflatedAndNormalized) {
 TEST(Lanczos, RejectsTrivialProblems) {
   EXPECT_THROW(smallest_eigvec_deflated(1, [](const double*, double*) {}, {}),
                std::invalid_argument);
+  // Zero steps would return no eigenvector at all; a negative count must not
+  // wrap around to "as many steps as there are unknowns".
+  const auto g = graph::grid_2d(6, 1);
+  for (const int steps : {0, -3}) {
+    LanczosOptions o;
+    o.max_steps = steps;
+    EXPECT_THROW(smallest_eigvec_deflated(6, laplacian_of(g), o), std::invalid_argument)
+        << "max_steps=" << steps;
+    const LanczosProblem p{6, laplacian_of(g), 7};
+    EXPECT_THROW(smallest_eigvecs_deflated({&p, 1}, steps, 1e-8), std::invalid_argument)
+        << "max_steps=" << steps;
+  }
 }
 
 }  // namespace
