@@ -31,23 +31,22 @@ std::span<const Method> all_methods() {
   return kAll;
 }
 
+bool needs_coords(Method m) {
+  return m == Method::kRcb || m == Method::kInertial || m == Method::kMorton ||
+         m == Method::kHilbert;
+}
+
 std::vector<Vertex> compute(const Csr& g, Method m, std::uint64_t seed) {
+  STANCE_REQUIRE(!needs_coords(m) || g.has_coords(),
+                 method_name(m) + " ordering needs coordinates");
   const Vertex n = g.num_vertices();
   switch (m) {
     case Method::kIdentity: return identity_order(n);
     case Method::kRandom: return random_order(n, seed);
-    case Method::kRcb:
-      STANCE_REQUIRE(g.has_coords(), "rcb ordering needs coordinates");
-      return rcb_order(g.coords());
-    case Method::kInertial:
-      STANCE_REQUIRE(g.has_coords(), "inertial ordering needs coordinates");
-      return inertial_order(g.coords());
-    case Method::kMorton:
-      STANCE_REQUIRE(g.has_coords(), "morton ordering needs coordinates");
-      return morton_order(g.coords());
-    case Method::kHilbert:
-      STANCE_REQUIRE(g.has_coords(), "hilbert ordering needs coordinates");
-      return hilbert_order(g.coords());
+    case Method::kRcb: return rcb_order(g.coords());
+    case Method::kInertial: return inertial_order(g.coords());
+    case Method::kMorton: return morton_order(g.coords());
+    case Method::kHilbert: return hilbert_order(g.coords());
     case Method::kSpectral: {
       SpectralOptions opts;
       opts.seed = seed;

@@ -37,6 +37,9 @@ enum class Method {
 /// All implemented methods, for sweeps.
 [[nodiscard]] std::span<const Method> all_methods();
 
+/// True for the coordinate-based methods (RCB, inertial, Morton, Hilbert).
+[[nodiscard]] bool needs_coords(Method m);
+
 /// Dispatch. Coordinate-based methods require g.has_coords().
 [[nodiscard]] std::vector<Vertex> compute(const Csr& g, Method m, std::uint64_t seed = 7);
 

@@ -7,14 +7,15 @@
 // deflated Lanczos (lanczos.hpp); the subgraph is split at the median
 // Fiedler value and the lower half receives the lower index range.
 //
-// This runs online, not once offline: Service re-orders the mesh on every
-// cold build, including each time an evicted plan returns. So the recursion
-// runs level-synchronously. The bisection tree depends only on sizes (every
-// split is at size/2), so it is planned first, and each internal node draws
-// its seed in DFS preorder, exactly as the depth-first recursion would. Then
-// each level's subgraphs go to the Lanczos solver together, which steps them
-// kLanczosLanes at a time. The ordering is the one the depth-first recursion
-// produces, bit for bit.
+// This runs online, not once offline: Service orders each mesh the client
+// submits on its first cold build (later cold builds of the same mesh reuse
+// the permutation while the client holds it), and Session orders on every
+// construction. So the recursion runs level-synchronously. The bisection
+// tree depends only on sizes (every split is at size/2), so it is planned
+// first, and each internal node draws its seed in DFS preorder, exactly as
+// the depth-first recursion would. Then each level's subgraphs go to the
+// Lanczos solver together, which steps them kLanczosLanes at a time. The
+// ordering is the one the depth-first recursion produces, bit for bit.
 #include <algorithm>
 #include <numeric>
 

@@ -8,6 +8,11 @@
 // hands a warm job the cold build's exact product instead of re-running the
 // inspector (tests/test_service.cpp proves byte-identity with an oracle).
 //
+// The permutation (Phase A) is not what this cache saves: Service memoizes
+// it per (mesh, ordering, seed) for as long as the client holds the mesh, so
+// a miss here — an evicted entry coming back, or a remap — rebuilds Phase B
+// only.
+//
 // Staleness is structural, not temporal: a remap changes the partition
 // fingerprint, a delegate rotation bumps NodeMap::generation(), and both are
 // part of the key — a stale entry is simply unreachable and ages out of the

@@ -71,6 +71,11 @@ Admission Service::submit(JobSpec spec) {
     return reject(RejectReason::kInvalidSpec,
                   "mesh has fewer vertices than the fleet has ranks");
   }
+  if (order::needs_coords(spec.config.ordering) && !spec.mesh->has_coords()) {
+    return reject(RejectReason::kInvalidSpec,
+                  order::method_name(spec.config.ordering) +
+                      " ordering needs a mesh with coordinates");
+  }
   if (!spec.weights.empty()) {
     if (spec.weights.size() != static_cast<std::size_t>(nprocs())) {
       return reject(RejectReason::kInvalidSpec, "need one partition weight per rank");
@@ -115,12 +120,36 @@ bool Service::same_execution(const Job& a, const Job& b) const {
          a.spec.iterations == b.spec.iterations && a.spec.weights == b.spec.weights;
 }
 
+std::shared_ptr<const Service::Permutation> Service::ordering_for(const Job& job) {
+  const JobSpec& spec = job.spec;
+  if (spec.config.ordering == order::Method::kIdentity) {
+    return std::make_shared<const Permutation>(
+        order::identity_order(spec.mesh->num_vertices()));
+  }
+  const auto key =
+      std::make_tuple(job.mesh_fingerprint, spec.config.ordering, spec.config.seed);
+  if (const auto it = orderings_.find(key);
+      it != orderings_.end() && !it->second.mesh.expired()) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    ++orderings_reused_;
+    return it->second.perm;
+  }
+  auto perm = std::make_shared<const Permutation>(
+      order::compute(*spec.mesh, spec.config.ordering, spec.config.seed));
+  std::erase_if(orderings_, [](const auto& entry) { return entry.second.mesh.expired(); });
+  orderings_.insert_or_assign(key, MemoizedOrdering{spec.mesh, perm});
+  std::lock_guard<std::mutex> lock(mutex_);
+  ++orderings_computed_;
+  return perm;
+}
+
 std::shared_ptr<const CachedPlan> Service::build_cold(
-    const JobSpec& spec, const partition::IntervalPartition& part) {
-  // Phase A: order the mesh. Warm jobs never get here — the cache key names
-  // the ordering inputs, so the permutation is part of the cached product.
-  const auto perm = order::compute(*spec.mesh, spec.config.ordering, spec.config.seed);
-  const graph::Csr ordered = spec.mesh->permuted(perm);
+    const Job& job, const partition::IntervalPartition& part) {
+  // Phase A: order the mesh, once per mesh the client holds. Warm jobs never
+  // get here — the cache key names the ordering inputs, so the permutation
+  // is part of the cached product.
+  const JobSpec& spec = job.spec;
+  const graph::Csr ordered = spec.mesh->permuted(*ordering_for(job));
 
   auto plan = std::make_shared<CachedPlan>();
   const auto n = static_cast<std::size_t>(nprocs());
@@ -155,7 +184,7 @@ void Service::execute(std::vector<Job>& batch, std::unique_lock<std::mutex>& loc
   lock.unlock();
 
   if (!hit) {
-    auto built = build_cold(spec, part);
+    auto built = build_cold(batch.front(), part);
     lock.lock();
     cache_.insert(key, built);
     lock.unlock();
@@ -255,6 +284,8 @@ ServiceStats Service::stats() const {
   s.batched_jobs = batched_jobs_;
   s.queued = queue_.size();
   s.plan_cache = cache_.stats();
+  s.orderings_computed = orderings_computed_;
+  s.orderings_reused = orderings_reused_;
   s.tenants = tenants_;
   return s;
 }

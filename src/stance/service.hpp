@@ -14,6 +14,10 @@
 //    (stance/plan_cache.hpp). A warm job skips ordering and the inspector
 //    entirely and pays only the loop phase; the cached artifacts are
 //    byte-identical to a cold build (asserted by the test oracle).
+//  * Phase A once per mesh: a cold build reuses the permutation computed
+//    for the same mesh, ordering and seed while the client still holds
+//    that mesh, so an evicted plan or a remap (new weights) pays Phase B
+//    only. Ordering is host work and is never billed in virtual time.
 //  * Batching: identical back-to-back requests coalesce into one execution
 //    whose virtual cost is split evenly across the batch — Phase B *and*
 //    Phase C are shared, the per-job bill drops by the batch factor.
@@ -25,7 +29,8 @@
 //
 // Threading contract: submit()/stats() may race freely with an in-progress
 // drain(); drain() itself is single-flight (concurrent drains throw). The
-// cluster and plan cache are only ever touched by the draining thread.
+// cluster, the plan cache and the ordering memo are only ever touched by
+// the draining thread.
 #pragma once
 
 #include <cstdint>
@@ -34,6 +39,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "graph/delta.hpp"
@@ -109,6 +115,8 @@ struct ServiceStats {
   std::uint64_t batched_jobs = 0;  ///< completed jobs that shared an execution
   std::size_t queued = 0;
   PlanCache::Stats plan_cache;
+  std::uint64_t orderings_computed = 0;  ///< Phase A runs on cold builds
+  std::uint64_t orderings_reused = 0;    ///< cold builds that reused a memoized ordering
   std::map<std::string, TenantStats> tenants;
 };
 
@@ -186,10 +194,16 @@ class Service {
   [[nodiscard]] PlanKey make_key(const JobSpec& spec, std::uint64_t mesh_fp,
                                  const partition::IntervalPartition& part) const;
 
+  using Permutation = std::vector<graph::Vertex>;
+
+  /// Phase A through the memo: the job's permutation, computed only when no
+  /// live entry holds it. Identity ordering bypasses the memo.
+  [[nodiscard]] std::shared_ptr<const Permutation> ordering_for(const Job& job);
+
   /// Cold Phase B: order the mesh, run the inspector (and coalesce) on the
   /// cluster. Returns the complete cached product.
   [[nodiscard]] std::shared_ptr<const CachedPlan> build_cold(
-      const JobSpec& spec, const partition::IntervalPartition& part);
+      const Job& job, const partition::IntervalPartition& part);
 
   /// Run one batch of identical jobs; appends one JobResult per job.
   void execute(std::vector<Job>& batch, std::unique_lock<std::mutex>& lock,
@@ -198,6 +212,16 @@ class Service {
   ServiceOptions opts_;
   sim::MachineSpec fleet_;
   std::unique_ptr<mp::Cluster> cluster_;
+
+  /// One memoized ordering: valid while the client holds the mesh it was
+  /// computed for; expired entries are pruned on insert.
+  struct MemoizedOrdering {
+    std::weak_ptr<const graph::Csr> mesh;
+    std::shared_ptr<const Permutation> perm;
+  };
+  /// (mesh fingerprint, ordering, seed) -> permutation. Draining thread only.
+  std::map<std::tuple<std::uint64_t, order::Method, std::uint64_t>, MemoizedOrdering>
+      orderings_;
 
   mutable std::mutex mutex_;  ///< guards everything below
   PlanCache cache_;
@@ -209,6 +233,8 @@ class Service {
   std::uint64_t completed_ = 0;
   std::uint64_t executions_ = 0;
   std::uint64_t batched_jobs_ = 0;
+  std::uint64_t orderings_computed_ = 0;
+  std::uint64_t orderings_reused_ = 0;
   std::map<std::string, TenantStats> tenants_;
 };
 

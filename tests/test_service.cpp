@@ -1,7 +1,8 @@
 // Serving-layer tests (stance/service.hpp): admission control, the plan
 // cache's byte-identity oracle (a warm job's schedule/plan must equal a cold
 // build member-for-member), staleness (evicted / rotated / remapped entries
-// miss), batching, per-tenant accounting, and a concurrent-submit stress
+// miss), the Phase A memo (an evicted or remapped plan reuses its mesh's
+// ordering), batching, per-tenant accounting, and a concurrent-submit stress
 // run (the TSan matrix executes this suite on every transport).
 #include <gtest/gtest.h>
 
@@ -22,6 +23,13 @@ std::shared_ptr<const graph::Csr> shared_mesh(int vertices = 900, unsigned seed 
       graph::random_delaunay(vertices, seed));
 }
 
+/// A ring without coordinates: only coordinate-free orderings apply.
+std::shared_ptr<const graph::Csr> coordinate_free_ring(graph::Vertex n) {
+  std::vector<graph::Edge> edges;
+  for (graph::Vertex v = 0; v < n; ++v) edges.emplace_back(v, (v + 1) % n);
+  return std::make_shared<graph::Csr>(graph::Csr::from_edges(n, edges));
+}
+
 SessionConfig job_config() {
   SessionConfig cfg;
   cfg.ordering = order::Method::kHilbert;  // fast; spectral tested elsewhere
@@ -37,6 +45,36 @@ JobSpec job_for(std::shared_ptr<const graph::Csr> mesh, std::string tenant = "a"
   spec.config = job_config();
   spec.iterations = iterations;
   return spec;
+}
+
+/// Phase B built by hand on a fresh cluster (same fleet, node map 2 ranks per
+/// node, same inputs), no service involved: the byte-identity oracle.
+struct ColdBuild {
+  std::vector<sched::InspectorResult> per_rank;
+  std::vector<sched::CoalescePlan> coalesce;
+  double makespan = 0.0;
+};
+
+ColdBuild independent_cold_build(const sim::MachineSpec& fleet, const graph::Csr& mesh,
+                                 const JobSpec& spec) {
+  const auto perm = order::compute(mesh, spec.config.ordering, spec.config.seed);
+  const graph::Csr ordered = mesh.permuted(perm);
+  std::vector<double> weights;
+  for (const auto& node : fleet.nodes) weights.push_back(node.speed);
+  const auto part =
+      partition::IntervalPartition::from_weights(ordered.num_vertices(), weights);
+  const std::size_t n = fleet.size();
+  mp::Cluster cluster(fleet, mp::NodeMap::contiguous(static_cast<int>(n), 2));
+  ColdBuild ref{std::vector<sched::InspectorResult>(n), std::vector<sched::CoalescePlan>(n)};
+  cluster.run([&](mp::Process& p) {
+    const auto r = static_cast<std::size_t>(p.rank());
+    ref.per_rank[r] =
+        sched::build_schedule(p, ordered, part, spec.config.build, spec.config.cpu);
+    ref.coalesce[r] = sched::coalesce(p, ref.per_rank[r].schedule, spec.config.cpu,
+                                      ServiceOptions{}.coalesce_opts);
+  });
+  ref.makespan = cluster.makespan();
+  return ref;
 }
 
 // --- admission ---------------------------------------------------------------
@@ -88,6 +126,32 @@ TEST(ServiceAdmission, RejectsInvalidSpecs) {
   EXPECT_EQ(svc.stats().submitted, 0u);
   EXPECT_EQ(reject_reason_name(RejectReason::kInvalidSpec),
             std::string("invalid-spec"));
+
+  // A coordinate-based ordering cannot run on a mesh without coordinates:
+  // refused at admission, naming the ordering, instead of throwing out of
+  // drain() mid-batch.
+  const auto no_coords = coordinate_free_ring(40);
+  for (const auto method : {order::Method::kRcb, order::Method::kInertial,
+                            order::Method::kMorton, order::Method::kHilbert}) {
+    JobSpec spec = job_for(no_coords);
+    spec.config.ordering = method;
+    const Admission a = svc.submit(std::move(spec));
+    EXPECT_EQ(a.reason, RejectReason::kInvalidSpec);
+    EXPECT_NE(a.detail.find(order::method_name(method)), std::string::npos) << a.detail;
+  }
+  EXPECT_EQ(svc.stats().rejected, 9u);
+
+  // The refusal leaves the jobs around it intact: both valid jobs run.
+  JobSpec coord_free_ok = job_for(no_coords);
+  coord_free_ok.config.ordering = order::Method::kCuthillMckee;
+  ASSERT_TRUE(svc.submit(job_for(mesh)).accepted);
+  JobSpec bad = job_for(no_coords);
+  bad.config.ordering = order::Method::kRcb;
+  EXPECT_FALSE(svc.submit(std::move(bad)).accepted);
+  ASSERT_TRUE(svc.submit(std::move(coord_free_ok)).accepted);
+  EXPECT_EQ(svc.drain().size(), 2u);
+  EXPECT_EQ(svc.stats().completed, 2u);
+  EXPECT_EQ(svc.stats().rejected, 10u);
 }
 
 // --- plan cache: warm == cold ------------------------------------------------
@@ -140,27 +204,11 @@ TEST(ServiceCache, CachedPlanByteIdenticalToIndependentColdBuild) {
   ASSERT_EQ(cached->per_rank.size(), 4u);
   ASSERT_EQ(cached->coalesce.size(), 4u);
 
-  // Independent cold build, no service involved.
-  const auto perm = order::compute(*mesh, spec.config.ordering, spec.config.seed);
-  const graph::Csr ordered = mesh->permuted(perm);
-  std::vector<double> weights;
-  for (const auto& node : fleet.nodes) weights.push_back(node.speed);
-  const auto part =
-      partition::IntervalPartition::from_weights(ordered.num_vertices(), weights);
-  mp::Cluster cluster(fleet, mp::NodeMap::contiguous(4, 2));
-  std::vector<sched::InspectorResult> ref(4);
-  std::vector<sched::CoalescePlan> ref_plans(4);
-  cluster.run([&](mp::Process& p) {
-    const auto r = static_cast<std::size_t>(p.rank());
-    ref[r] = sched::build_schedule(p, ordered, part, spec.config.build, spec.config.cpu);
-    ref_plans[r] = sched::coalesce(p, ref[r].schedule, spec.config.cpu,
-                                   ServiceOptions{}.coalesce_opts);
-  });
-
+  const ColdBuild ref = independent_cold_build(fleet, *mesh, spec);
   for (std::size_t r = 0; r < 4; ++r) {
-    EXPECT_EQ(cached->per_rank[r].schedule, ref[r].schedule) << "rank " << r;
-    EXPECT_EQ(cached->per_rank[r].lgraph, ref[r].lgraph) << "rank " << r;
-    EXPECT_EQ(cached->coalesce[r], ref_plans[r]) << "rank " << r;
+    EXPECT_EQ(cached->per_rank[r].schedule, ref.per_rank[r].schedule) << "rank " << r;
+    EXPECT_EQ(cached->per_rank[r].lgraph, ref.per_rank[r].lgraph) << "rank " << r;
+    EXPECT_EQ(cached->coalesce[r], ref.coalesce[r]) << "rank " << r;
   }
 }
 
@@ -269,6 +317,116 @@ TEST(ServiceStaleness, RemappedPartitionMisses) {
   // Both decompositions now coexist in the cache.
   EXPECT_NE(svc.cached_plan_for(job_for(mesh)), nullptr);
   EXPECT_NE(svc.cached_plan_for(remapped), nullptr);
+}
+
+// --- Phase A memo ------------------------------------------------------------
+
+JobSpec spectral_job(std::shared_ptr<const graph::Csr> mesh) {
+  JobSpec spec = job_for(std::move(mesh));
+  spec.config.ordering = order::Method::kSpectral;
+  return spec;
+}
+
+TEST(ServiceOrderingMemo, EvictedPlanRebuildsWithoutReordering) {
+  // An evicted plan comes back cold, pays Phase B again, but reuses the
+  // ordering; the rebuilt product equals an independent cold build.
+  const auto fleet = sim::MachineSpec::sun4_ethernet(4);
+  ServiceOptions opts;
+  opts.plan_cache_capacity = 1;
+  opts.batching = false;
+  opts.coalesce = true;
+  Service svc(fleet, opts, mp::NodeMap::contiguous(4, 2));
+  const auto mesh_a = shared_mesh(500, 1);
+  const auto mesh_b = shared_mesh(540, 2);
+
+  ASSERT_TRUE(svc.submit(spectral_job(mesh_a)).accepted);
+  ASSERT_TRUE(svc.submit(spectral_job(mesh_b)).accepted);  // evicts mesh_a's plan
+  svc.drain();
+  ASSERT_EQ(svc.cached_plan_for(spectral_job(mesh_a)), nullptr);
+  EXPECT_EQ(svc.stats().orderings_computed, 2u);
+  EXPECT_EQ(svc.stats().orderings_reused, 0u);
+
+  ASSERT_TRUE(svc.submit(spectral_job(mesh_a)).accepted);
+  const auto again = svc.drain();
+  ASSERT_EQ(again.size(), 1u);
+  EXPECT_FALSE(again[0].plan_cache_hit);
+  EXPECT_GT(again[0].build_seconds, 0.0);  // Phase B is still billed
+  const auto s = svc.stats();
+  EXPECT_EQ(s.plan_cache.misses, 3u);
+  EXPECT_EQ(s.orderings_computed, 2u);
+  EXPECT_EQ(s.orderings_reused, 1u);
+
+  const JobSpec spec = spectral_job(mesh_a);
+  const auto cached = svc.cached_plan_for(spec);
+  ASSERT_NE(cached, nullptr);
+  const ColdBuild ref = independent_cold_build(fleet, *mesh_a, spec);
+  EXPECT_DOUBLE_EQ(cached->cold_build_seconds, ref.makespan);
+  for (std::size_t r = 0; r < 4; ++r) {
+    EXPECT_EQ(cached->per_rank[r].schedule, ref.per_rank[r].schedule) << "rank " << r;
+    EXPECT_EQ(cached->per_rank[r].lgraph, ref.per_rank[r].lgraph) << "rank " << r;
+    EXPECT_EQ(cached->coalesce[r], ref.coalesce[r]) << "rank " << r;
+  }
+}
+
+TEST(ServiceOrderingMemo, RemappedPartitionReusesOrdering) {
+  ServiceOptions opts;
+  opts.batching = false;
+  Service svc(sim::MachineSpec::sun4_ethernet(3), opts);
+  const auto mesh = shared_mesh(500, 3);
+
+  ASSERT_TRUE(svc.submit(spectral_job(mesh)).accepted);
+  JobSpec remapped = spectral_job(mesh);
+  remapped.weights = {2.0, 1.0, 1.0};
+  ASSERT_TRUE(svc.submit(std::move(remapped)).accepted);
+  const auto results = svc.drain();
+  ASSERT_EQ(results.size(), 2u);
+  EXPECT_FALSE(results[1].plan_cache_hit);  // new intervals, new schedules
+
+  const auto s = svc.stats();
+  EXPECT_EQ(s.plan_cache.misses, 2u);
+  EXPECT_EQ(s.orderings_computed, 1u);
+  EXPECT_EQ(s.orderings_reused, 1u);
+}
+
+TEST(ServiceOrderingMemo, DroppedMeshIsOrderedAgain) {
+  ServiceOptions opts;
+  opts.batching = false;
+  Service svc(sim::MachineSpec::sun4_ethernet(3), opts);
+  auto mesh = shared_mesh(500, 4);
+  ASSERT_TRUE(svc.submit(spectral_job(mesh)).accepted);
+  ASSERT_EQ(svc.drain().size(), 1u);
+
+  // The client lets go of the mesh; an equal mesh (same fingerprint), under
+  // a decomposition the plan cache has not seen, must be ordered afresh.
+  mesh.reset();
+  const auto equal = shared_mesh(500, 4);
+  JobSpec remapped = spectral_job(equal);
+  remapped.weights = {1.0, 2.0, 1.0};
+  ASSERT_TRUE(svc.submit(std::move(remapped)).accepted);
+  const auto results = svc.drain();
+  ASSERT_EQ(results.size(), 1u);
+  EXPECT_FALSE(results[0].plan_cache_hit);
+
+  const auto s = svc.stats();
+  EXPECT_EQ(s.orderings_computed, 2u);
+  EXPECT_EQ(s.orderings_reused, 0u);
+}
+
+TEST(ServiceOrderingMemo, IdentityOrderingBypassesMemo) {
+  ServiceOptions opts;
+  opts.batching = false;
+  Service svc(sim::MachineSpec::sun4_ethernet(3), opts);
+  const auto mesh = shared_mesh(500, 5);
+  JobSpec spec = job_for(mesh);
+  spec.config.ordering = order::Method::kIdentity;
+  JobSpec remapped = spec;
+  remapped.weights = {1.0, 1.0, 2.0};
+  ASSERT_TRUE(svc.submit(std::move(spec)).accepted);
+  ASSERT_TRUE(svc.submit(std::move(remapped)).accepted);
+  ASSERT_EQ(svc.drain().size(), 2u);
+  EXPECT_EQ(svc.stats().plan_cache.misses, 2u);
+  EXPECT_EQ(svc.stats().orderings_computed, 0u);
+  EXPECT_EQ(svc.stats().orderings_reused, 0u);
 }
 
 // --- batching & accounting ---------------------------------------------------
