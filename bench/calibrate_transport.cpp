@@ -6,7 +6,7 @@
 // loop between the two:
 //
 //   1. Micro-calibration on the real backends — ping-pong RTT/2 for the
-//      latency term (intra-node through the shm rings, inter-node through
+//      latency term (intra-node through the shm mailboxes, inter-node through
 //      loopback TCP), a large-vs-small message delta for the per-byte term,
 //      and back-to-back sends for the per-message sender overhead.
 //   2. A NetworkModel fitted from those measurements.
@@ -205,7 +205,7 @@ int main(int argc, char** argv) {
   JsonReporter report;
 
   // --- 1. Micro-calibration: 4 ranks on 2 nodes; the tcp backend gives both
-  // an intra-node route (ranks 0-1, shm rings) and an inter-node route
+  // an intra-node route (ranks 0-1, shm mailboxes) and an inter-node route
   // (ranks 0-2, loopback sockets) in one cluster.
   sim::MachineSpec spec = sim::MachineSpec::uniform(4);
   mp::Cluster tcp_cluster(spec, mp::NodeMap::contiguous(4, 2),

@@ -771,9 +771,10 @@ void bench_pack_unpack_host(bench::JsonReporter& report, bool small, int repeats
             << ")\n";
 }
 
-/// The mutex+condvar mailbox the lock-free ring replaced (ISSUE 9), kept as
-/// the bench reference: one deque under one lock, every deposit takes the
-/// mutex and notifies, take scans for the oldest (source, tag) match.
+/// The bench reference queue: one deque shared by every source under one
+/// lock, every deposit takes the mutex and notifies, take scans the whole
+/// backlog for the oldest (source, tag) match. mp::Mailbox keeps one lane
+/// per source instead, so a take scans only its sender's backlog.
 class MutexMailboxRef {
  public:
   void deposit(mp::RawMessage msg) {
@@ -845,8 +846,9 @@ void bench_mailbox_throughput_host(bench::JsonReporter& report, bool small,
     MutexMailboxRef box;
     flood(box);
   });
+  // The field names keep "ring" for the gate's history; they time mp::Mailbox.
   const double ring_s = best_of(repeats, [&] {
-    mp::Mailbox box;
+    mp::Mailbox box(producers);
     flood(box);
   });
   const double total =
@@ -859,7 +861,7 @@ void bench_mailbox_throughput_host(bench::JsonReporter& report, bool small,
       .field("ring_host_seconds", ring_s)
       .field("ring_msgs_per_host_second", total / ring_s)
       .field("host_speedup", mutex_s / ring_s);
-  std::cout << "mailbox_throughput_host: mutex+cv " << mutex_s << " s, ring "
+  std::cout << "mailbox_throughput_host: mutex+cv " << mutex_s << " s, lanes "
             << ring_s << " s, speedup " << mutex_s / ring_s << "x ("
             << total / ring_s << " msg/s)\n";
 }

@@ -332,9 +332,9 @@ class CheckRegressionTest(unittest.TestCase):
             self.assertGreater(pack["host_speedup"], 1.0)
 
     def test_committed_baseline_carries_the_mailbox_throughput_entry(self):
-        # The lock-free mailbox bench is host-gated against the mutex+cv
-        # reference it replaced: the committed baseline must carry both
-        # columns and show the ring winning.
+        # The mailbox bench is host-gated against a single-deque mutex+cv
+        # reference: the committed baseline must carry both columns and
+        # show mp::Mailbox (the "ring" columns) winning.
         repo_root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
         entries = check_regression.load_entries(
             os.path.join(repo_root, "BENCH_schedule.json"))

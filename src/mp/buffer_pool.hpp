@@ -1,11 +1,10 @@
-// Bounded pool of payload buffers shared by the message delivery
-// structures (Mailbox, ShmRing). Senders acquire their payload storage from
-// the *receiver's* pool and the receiver recycles it after consuming the
-// message, so steady-state exchanges perform no heap allocations.
+// Bounded pool of payload buffers owned by each rank's Mailbox. Senders
+// acquire their payload storage from the *receiver's* pool and the receiver
+// recycles it after consuming the message, so steady-state exchanges
+// perform no heap allocations.
 //
-// The pool is NOT internally synchronized: each owner guards it with its own
-// mutex (the same one protecting its queue), which keeps acquire/deposit a
-// single lock acquisition.
+// The pool is NOT internally synchronized: the owning Mailbox guards it with
+// the same mutex that protects its lanes.
 #pragma once
 
 #include <cstddef>

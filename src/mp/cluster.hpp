@@ -8,7 +8,7 @@
 //
 // The transport backend (mp/transport.hpp) is chosen at construction:
 // kVirtual (the default) is the deterministic in-process oracle; kShm and
-// kTcp move the same bytes through real shared-memory rings and loopback
+// kTcp move the same bytes through per-rank shared-memory queues and loopback
 // TCP sockets. Virtual clock charging lives in Process, so virtual times
 // are bit-identical across backends — the selector changes how the bytes
 // travel, never what the experiment measures. kDefault defers to the

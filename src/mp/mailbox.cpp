@@ -1,231 +1,158 @@
 #include "mp/mailbox.hpp"
 
 #include <algorithm>
-#include <thread>
 #include <utility>
 
-#include "mp/errors.hpp"
+#include "support/assert.hpp"
 
 namespace stance::mp {
 
+Mailbox::Mailbox(int nprocs) : lanes_(static_cast<std::size_t>(nprocs)) {
+  STANCE_REQUIRE(nprocs > 0, "mailbox needs at least one source");
+  pool_.reserve();
+}
+
+Mailbox::Lane& Mailbox::lane(Rank source) {
+  STANCE_REQUIRE(source >= 0 && static_cast<std::size_t>(source) < lanes_.size(),
+                 "mailbox: source rank out of range");
+  return lanes_[static_cast<std::size_t>(source)];
+}
+
 void Mailbox::deposit(RawMessage msg, std::uint32_t epoch) {
-  if (down_.load(std::memory_order_acquire) ||
-      poisoned_.load(std::memory_order_acquire) ||
-      epoch < epoch_floor_.load(std::memory_order_acquire)) {
-    return;
-  }
-  Entry e{std::move(msg), ticket_counter_.fetch_add(1, std::memory_order_relaxed),
-          epoch};
-  if (!ring_.try_push(std::move(e))) {
-    const std::lock_guard<std::mutex> lock(overflow_mutex_);
-    overflow_.push_back(std::move(e));
-    overflow_nonempty_.store(true, std::memory_order_release);
-  }
-  // seq_cst pairs with the consumer's sleeping_-then-undrained_ sequence
-  // (Dekker): either we observe sleeping_ and notify, or the consumer's
-  // recheck observes this increment and skips the wait.
-  undrained_.fetch_add(1, std::memory_order_seq_cst);
-  if (sleeping_.load(std::memory_order_seq_cst)) {
-    const std::lock_guard<std::mutex> lock(wake_mutex_);
-    cv_.notify_all();
-  }
-}
-
-void Mailbox::drain_locked() {
-  const std::uint32_t floor = epoch_floor_.load(std::memory_order_acquire);
-  const auto accept = [&](Entry&& e) {
-    undrained_.fetch_sub(1, std::memory_order_relaxed);
-    if (e.epoch < floor) return;  // stale pre-recovery traffic
-    Stash& s = stash_[stash_key(e.msg.source, e.msg.tag)];
-    if (s.q.capacity() == 0) {
-      // First message on this key: size the bucket past any schedule's
-      // concurrent depth so steady-state appends never grow it.
-      s.q.reserve(BufferPool::kMaxPooled);
+  {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    if (down_ || poison_ || epoch < epoch_floor_) return;
+    Lane& l = lane(msg.source);
+    if (l.head > 0 && l.q.size() == l.q.capacity()) {
+      // Reuse the consumed prefix instead of growing.
+      l.q.erase(l.q.begin(), l.q.begin() + static_cast<std::ptrdiff_t>(l.head));
+      l.head = 0;
     }
-    // Ring and overflow are each ticket-ascending, but interleave (a sender
-    // that claimed a ticket can land in either path, in either order), so
-    // an append that arrived out of order re-sorts this bucket's live
-    // region. Overflow is the burst path only; steady-state drains append
-    // in order and skip this.
-    const bool unordered = s.q.size() > s.head && e.ticket < s.q.back().ticket;
-    s.q.push_back(std::move(e));
-    if (unordered) {
-      std::sort(s.q.begin() + static_cast<std::ptrdiff_t>(s.head), s.q.end(),
-                [](const Entry& a, const Entry& b) { return a.ticket < b.ticket; });
-    }
-    stashed_.fetch_add(1, std::memory_order_relaxed);
-  };
-  Entry e;
-  while (ring_.try_pop(e)) accept(std::move(e));
-  if (overflow_nonempty_.load(std::memory_order_acquire)) {
-    const std::lock_guard<std::mutex> lock(overflow_mutex_);
-    // A sender's ring entries were all claimed before its later entries
-    // spilled here, but a slot claimed and not yet published (another
-    // sender mid-push) stops try_pop, leaving published entries behind it.
-    // Pop every position claimed so far first, waiting out such a slot;
-    // else a spilled entry could be matched ahead of an older ring entry
-    // from the same sender.
-    const std::size_t claimed = ring_.claimed();
-    while (ring_.popped() < claimed) {
-      if (ring_.try_pop(e)) {
-        accept(std::move(e));
-      } else {
-        std::this_thread::yield();  // the claimant publishes without a lock
-      }
-    }
-    for (auto& o : overflow_) accept(std::move(o));
-    overflow_.clear();
-    overflow_nonempty_.store(false, std::memory_order_release);
+    l.q.push_back(std::move(msg));
+    ++pending_;
   }
-}
-
-std::optional<RawMessage> Mailbox::match_locked(Rank source, Tag tag) {
-  const auto it = stash_.find(stash_key(source, tag));
-  if (it == stash_.end()) return std::nullopt;
-  Stash& s = it->second;
-  if (s.head == s.q.size()) return std::nullopt;
-  RawMessage msg = std::move(s.q[s.head].msg);
-  ++s.head;
-  stashed_.fetch_sub(1, std::memory_order_relaxed);
-  if (s.head == s.q.size()) {
-    s.q.clear();
-    s.head = 0;
-  } else if (s.head >= 1024 && s.head * 2 >= s.q.size()) {
-    // The dead prefix dominates: compact (capacity is kept, so the steady
-    // state stays allocation-free).
-    s.q.erase(s.q.begin(), s.q.begin() + static_cast<std::ptrdiff_t>(s.head));
-    s.head = 0;
-  }
-  return msg;
-}
-
-void Mailbox::raise_if_failed() {
-  if (poisoned_.load(std::memory_order_acquire)) {
-    const std::lock_guard<std::mutex> lock(state_mutex_);
-    if (poison_) poison_->raise();
-  }
-  if (down_.load(std::memory_order_acquire)) throw ClusterAborted();
-}
-
-void Mailbox::notify_consumers() {
-  const std::lock_guard<std::mutex> lock(wake_mutex_);
   cv_.notify_all();
 }
 
-RawMessage Mailbox::take(Rank source, Tag tag) {
-  const std::lock_guard<std::mutex> consumer(consumer_mutex_);
-  for (;;) {
-    raise_if_failed();
-    drain_locked();
-    if (auto msg = match_locked(source, tag)) return std::move(*msg);
-    // Arm the sleeping flag, then re-check for deposits that raced the
-    // drain; only park when the box is verifiably idle (see deposit()).
-    std::unique_lock<std::mutex> wake(wake_mutex_);
-    sleeping_.store(true, std::memory_order_seq_cst);
-    if (undrained_.load(std::memory_order_seq_cst) == 0 &&
-        !down_.load(std::memory_order_acquire) &&
-        !poisoned_.load(std::memory_order_acquire)) {
-      cv_.wait(wake);  // spurious wakeups just re-run the loop
+std::optional<RawMessage> Mailbox::match_locked(Lane& l, Tag tag) {
+  for (std::size_t i = l.head; i < l.q.size(); ++i) {
+    if (l.q[i].tag != tag) continue;
+    RawMessage msg = std::move(l.q[i]);
+    if (i == l.head) {
+      ++l.head;
+    } else {
+      l.q.erase(l.q.begin() + static_cast<std::ptrdiff_t>(i));
     }
-    sleeping_.store(false, std::memory_order_relaxed);
+    if (l.head == l.q.size()) {
+      l.q.clear();
+      l.head = 0;
+    }
+    --pending_;
+    return msg;
+  }
+  return std::nullopt;
+}
+
+void Mailbox::raise_if_failed_locked() const {
+  if (poison_) poison_->raise();
+  if (down_) throw ClusterAborted();
+}
+
+RawMessage Mailbox::take(Rank source, Tag tag) {
+  std::unique_lock<std::mutex> lock(mutex_);
+  Lane& l = lane(source);
+  for (;;) {
+    raise_if_failed_locked();
+    if (auto msg = match_locked(l, tag)) return std::move(*msg);
+    cv_.wait(lock);
   }
 }
 
-std::optional<RawMessage> Mailbox::try_take(Rank source, Tag tag) {
-  const std::lock_guard<std::mutex> consumer(consumer_mutex_);
-  raise_if_failed();
-  drain_locked();
-  return match_locked(source, tag);
+std::optional<RawMessage> Mailbox::take_for(Rank source, Tag tag,
+                                            std::chrono::milliseconds timeout) {
+  const auto deadline = std::chrono::steady_clock::now() + timeout;
+  std::unique_lock<std::mutex> lock(mutex_);
+  Lane& l = lane(source);
+  for (;;) {
+    raise_if_failed_locked();
+    if (auto msg = match_locked(l, tag)) return msg;
+    if (cv_.wait_until(lock, deadline) == std::cv_status::timeout) {
+      // Recheck once: the state may have changed while we timed out.
+      raise_if_failed_locked();
+      return match_locked(l, tag);
+    }
+  }
 }
 
 std::vector<std::byte> Mailbox::acquire(std::size_t size) {
-  const std::lock_guard<std::mutex> lock(pool_mutex_);
+  const std::lock_guard<std::mutex> lock(mutex_);
   return pool_.acquire(size);
 }
 
 void Mailbox::recycle(std::vector<std::byte> buffer) {
-  const std::lock_guard<std::mutex> lock(pool_mutex_);
+  const std::lock_guard<std::mutex> lock(mutex_);
   pool_.recycle(std::move(buffer));
 }
 
 bool Mailbox::prefill(std::size_t count, std::size_t bytes) {
-  const std::lock_guard<std::mutex> lock(pool_mutex_);
+  const std::lock_guard<std::mutex> lock(mutex_);
+  // Past the pool cap the guarantee is best-effort anyway (payloads would
+  // allocate), so lanes are not sized beyond it.
+  const std::size_t depth = std::min(count, BufferPool::kMaxPooled);
+  for (auto& l : lanes_) {
+    if (l.q.capacity() < depth) l.q.reserve(depth);
+  }
   return pool_.prefill(count, bytes);
 }
 
 std::size_t Mailbox::pending() const {
-  return undrained_.load(std::memory_order_acquire) +
-         stashed_.load(std::memory_order_acquire);
+  const std::lock_guard<std::mutex> lock(mutex_);
+  return pending_;
 }
 
 void Mailbox::shutdown() {
-  down_.store(true, std::memory_order_seq_cst);
-  notify_consumers();
+  {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    down_ = true;
+  }
+  cv_.notify_all();
 }
 
 void Mailbox::poison(FailNotice notice) {
   {
-    const std::lock_guard<std::mutex> lock(state_mutex_);
-    if (!poison_) poison_ = std::move(notice);
+    const std::lock_guard<std::mutex> lock(mutex_);
+    if (poison_ || notice.epoch < epoch_floor_) return;
+    poison_ = std::move(notice);
   }
-  // Payload before flag: a taker that observes the flag finds the notice.
-  poisoned_.store(true, std::memory_order_seq_cst);
-  notify_consumers();
+  cv_.notify_all();
+}
+
+void Mailbox::purge_locked() {
+  for (auto& l : lanes_) {
+    l.q.clear();  // keeps capacity: prefilled steady state survives the purge
+    l.head = 0;
+  }
+  pending_ = 0;
 }
 
 void Mailbox::fence(std::uint32_t floor) {
   {
-    const std::lock_guard<std::mutex> consumer(consumer_mutex_);
-    // Raise the floor first so the purge drain below already filters, then
-    // drop everything stashed. Deposits that raced the floor update carry
-    // their epoch and are re-filtered at the next drain.
-    std::uint32_t cur = epoch_floor_.load(std::memory_order_relaxed);
-    while (floor > cur &&
-           !epoch_floor_.compare_exchange_weak(cur, floor, std::memory_order_acq_rel)) {
-    }
-    drain_locked();
-    for (auto& [key, s] : stash_) {
-      s.q.clear();  // keeps capacity: prefilled steady state survives the purge
-      s.head = 0;
-    }
-    stashed_.store(0, std::memory_order_relaxed);
-    {
-      const std::lock_guard<std::mutex> lock(state_mutex_);
-      poison_.reset();
-    }
-    poisoned_.store(false, std::memory_order_seq_cst);
-    // down_ survives: the fence revives a *poisoned* mailbox for recovery,
-    // not a shut-down cluster.
+    const std::lock_guard<std::mutex> lock(mutex_);
+    purge_locked();
+    poison_.reset();
+    epoch_floor_ = std::max(epoch_floor_, floor);
+    // down_ survives: the fence revives a *poisoned* queue for recovery, not
+    // a shut-down cluster.
   }
-  notify_consumers();
-}
-
-void Mailbox::clear() {
-  const std::lock_guard<std::mutex> consumer(consumer_mutex_);
-  drain_locked();
-  for (auto& [key, s] : stash_) {
-    s.q.clear();  // keeps capacity: prefilled steady state survives the purge
-    s.head = 0;
-  }
-  stashed_.store(0, std::memory_order_relaxed);
-  // down_/poison_ deliberately survive: failure state is sticky until reset().
+  cv_.notify_all();
 }
 
 void Mailbox::reset() {
-  const std::lock_guard<std::mutex> consumer(consumer_mutex_);
-  drain_locked();
-  for (auto& [key, s] : stash_) {
-    s.q.clear();  // keeps capacity: prefilled steady state survives the purge
-    s.head = 0;
-  }
-  stashed_.store(0, std::memory_order_relaxed);
-  down_.store(false, std::memory_order_seq_cst);
-  {
-    const std::lock_guard<std::mutex> lock(state_mutex_);
-    poison_.reset();
-  }
-  poisoned_.store(false, std::memory_order_seq_cst);
-  epoch_floor_.store(0, std::memory_order_seq_cst);
+  const std::lock_guard<std::mutex> lock(mutex_);
+  purge_locked();
+  down_ = false;
+  poison_.reset();
+  epoch_floor_ = 0;
 }
 
 }  // namespace stance::mp

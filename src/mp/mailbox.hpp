@@ -1,66 +1,56 @@
-// Per-process incoming message queue with (source, tag) matching.
+// Per-rank incoming message queue with (source, tag) matching — the one
+// delivery queue every transport backend uses.
 //
 // Sends are buffered (deposit never blocks), mirroring P4's buffered send;
-// receives block until a matching message arrives. Matching picks the
-// oldest message with the requested source and tag, so per-sender FIFO
-// order is preserved. A shutdown flag releases blocked receivers with
-// ClusterAborted when a peer process fails.
+// receives block until a matching message arrives. The queue holds one FIFO
+// lane per source rank: deposits append to the sender's lane and takes scan
+// only that lane for the oldest message with the requested tag, so
+// per-(source, tag) FIFO order follows from the structure. One mutex guards
+// the lanes, the buffer pool and the failure state; a condvar parks takers.
+// In-process senders deposit directly; the TCP backend's reader threads
+// deposit frames received from remote nodes.
 //
-// Delivery structure: deposits land in a bounded lock-free MPSC ring
-// (support/mpsc_ring.hpp) — the fast path is a CAS plus a store, with no
-// producer ever touching a mutex — and spill to a mutex-guarded overflow
-// queue only when the ring is full, preserving the unbounded buffered-send
-// contract. The consumer drains both into a private stash keyed by
-// (source, tag) — matching is a hash lookup plus a front pop, O(1) even
-// under a deep backlog — and a global deposit ticket restores per-key
-// deposit order when ring and overflow interleave. Blocking takes park on
-// a condvar slow path armed
-// by a Dekker-style sleeping flag (producers only notify when a consumer
-// is actually asleep). Takes serialize on a consumer mutex, so several
-// threads may block in take() concurrently and shutdown() releases all of
-// them — but clear()/fence()/reset() also need that mutex and must not be
-// called while a taker is blocked (their call sites — the consumer thread
-// itself, or the cluster between runs — already satisfy this).
+// Each lane is a vector with a head index: a take at the head advances the
+// index, a take behind it shifts the few younger entries down, and a lane
+// that would grow first compacts its consumed prefix. prefill() reserves
+// every lane and the buffer pool for the executor's worst-case inbound
+// pattern, so steady-state exchanges perform no heap allocations: senders
+// acquire payload storage from the receiver's pool and the receiver recycles
+// it after consuming a message.
 //
-// The mailbox also pools payload buffers: senders targeting this mailbox
-// acquire their payload storage from here, and the receiver recycles it
-// after consuming a message, so steady-state exchanges (the executor's
-// gather/scatter iterations) perform no heap allocations. The pool has its
-// own lock: buffer recycling never contends with message matching.
+// Failure surface: shutdown() releases blocked takers with ClusterAborted;
+// poison() releases them with a structured FailNotice (mp::PeerFailed for
+// a dead peer, mp::TransportError for a malformed frame or dead socket).
+// Both are sticky until reset(). fence() is the recovery path's epoch
+// fence: it purges queued messages, revives a poisoned queue, and raises the
+// epoch floor so stale deposits — and stale notices — racing the fence are
+// dropped instead of leaking into the recovered run.
 #pragma once
 
-#include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <mutex>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "mp/buffer_pool.hpp"
 #include "mp/errors.hpp"
 #include "mp/message.hpp"
-#include "support/mpsc_ring.hpp"
 
 namespace stance::mp {
 
 class Mailbox {
  public:
-  /// Ring slots per mailbox. Sized past any schedule's concurrent inbound
-  /// message count (two phases, two iterations deep, kMaxPooled buffers);
-  /// bursts beyond it overflow to the mutex path, never block, never drop.
-  static constexpr std::size_t kRingSlots = 512;
+  /// A queue receiving from `nprocs` possible sources (ranks 0..nprocs-1).
+  explicit Mailbox(int nprocs);
 
-  Mailbox() : ring_(kRingSlots) {
-    pool_.reserve();
-  }
-
-  /// Enqueue a message; never blocks, lock-free unless the ring is full.
-  /// Safe from any thread. `epoch` is the wire epoch the message was sent
-  /// in: deposits below the fence() floor are stale traffic from before a
-  /// recovery and are dropped.
+  /// Enqueue a message on its source's lane; never blocks (buffered send).
+  /// Dropped after shutdown() or poison() — the taker side reports the
+  /// failure. `epoch` is the wire epoch the message was sent in: deposits
+  /// below the fence() floor are stale traffic from before a recovery and
+  /// are dropped.
   void deposit(RawMessage msg, std::uint32_t epoch = 0);
 
   /// Block until a message with this (source, tag) is available and return
@@ -68,11 +58,14 @@ class Mailbox {
   /// after poison().
   RawMessage take(Rank source, Tag tag);
 
-  /// Non-blocking variant; empty optional if no match is queued.
-  std::optional<RawMessage> try_take(Rank source, Tag tag);
+  /// Bounded-wait take: wait at most `timeout` for a match. Empty optional
+  /// on timeout (the caller owns retry/backoff/liveness policy); the same
+  /// exceptions as take() on shutdown/poison.
+  std::optional<RawMessage> take_for(Rank source, Tag tag,
+                                     std::chrono::milliseconds timeout);
 
   /// A payload buffer of exactly `size` bytes, reusing a recycled buffer's
-  /// capacity when one is pooled. Senders to this mailbox call this so the
+  /// capacity when one is pooled. Senders to this queue call this so the
   /// buffer's storage round-trips instead of being reallocated per message.
   [[nodiscard]] std::vector<std::byte> acquire(std::size_t size);
 
@@ -80,113 +73,68 @@ class Mailbox {
   /// are simply freed).
   void recycle(std::vector<std::byte> buffer);
 
-  /// Ensure the pool holds at least `count` buffers of capacity >= `bytes`.
-  /// Executors call this (through Process::prefill_recv_buffers) with their
-  /// schedule's worst-case inbound message pattern, which makes steady-state
-  /// sends to this mailbox deterministically allocation-free. Returns false
-  /// when the kMaxPooled cap truncated the request — the zero-alloc
-  /// guarantee then degrades to best-effort and callers must not memoize
-  /// the requirement as satisfied.
+  /// Ensure the pool holds at least `count` buffers of capacity >= `bytes`
+  /// and every lane has room for `count` queued messages. Executors call
+  /// this (through Process::prefill_recv_buffers) with their schedule's
+  /// worst-case inbound message pattern, which makes steady-state sends to
+  /// this queue deterministically allocation-free. Returns false when the
+  /// kMaxPooled cap truncated the request — the zero-alloc guarantee then
+  /// degrades to best-effort and callers must not memoize the requirement
+  /// as satisfied.
   [[nodiscard]] bool prefill(std::size_t count, std::size_t bytes);
 
-  /// Number of queued messages (diagnostics only; racy by nature).
+  /// Number of queued messages across all lanes (diagnostics only).
   [[nodiscard]] std::size_t pending() const;
 
   /// Release all blocked takers with ClusterAborted; subsequent takes throw
-  /// immediately. deposit() becomes a no-op. Safe from any thread, even
-  /// while takers are blocked.
+  /// immediately and deposits are dropped. Sticky until reset(): a queue
+  /// that released blocked takers stays down, so late deposits from a
+  /// still-unwinding peer cannot be observed by the next run.
   void shutdown();
 
-  /// Mark the mailbox failed: blocked and future takers raise `notice`
-  /// (mp::PeerFailed for peer deaths). Sticky until reset() or fence(); the
-  /// first poison wins. Mirrors ShmRing::poison so the virtual backend has
-  /// the same failure surface as the real ones. Safe from any thread.
+  /// Mark the queue failed: blocked and future takers raise `notice`.
+  /// Sticky until reset() or fence(); the first poison wins. A notice whose
+  /// epoch is below the fence floor describes a failure the last recovery
+  /// already handled and is dropped.
   void poison(FailNotice notice);
 
   /// Recovery epoch fence: drop every queued message, clear poison, and
-  /// only accept deposits with epoch >= `floor` from now on. Does NOT clear
-  /// shutdown (a down cluster stays down). Consumer-side: called by the
-  /// owning rank's thread during recovery, never while that thread is
-  /// blocked in take().
+  /// only accept deposits and notices with epoch >= `floor` from now on.
+  /// Does NOT clear shutdown (a down cluster stays down).
   void fence(std::uint32_t floor);
 
-  /// Drop queued messages. Shutdown is *sticky*: a mailbox that released
-  /// blocked takers stays down across clear() so late deposits from a
-  /// still-unwinding peer cannot be observed by the next run. Only reset()
-  /// revives it. Consumer-side (see fence()).
-  void clear();
-
-  /// Drop queued messages and clear the shutdown flag (cluster reuse after
-  /// an aborted run). The buffer pool survives: it is an optimization
-  /// cache, not run state, and dropping it would silently void prior
-  /// prefill() guarantees. Consumer-side; the cluster calls it between runs.
+  /// Drop queued messages and revive the queue after an aborted run. The
+  /// buffer pool and lane capacity survive: they are an optimization cache,
+  /// not run state, and dropping them would void prior prefill() guarantees.
+  /// The epoch floor resets to accept-everything.
   void reset();
 
  private:
-  struct Entry {
-    RawMessage msg;
-    std::uint64_t ticket = 0;  ///< global deposit order, for oldest-first matching
-    std::uint32_t epoch = 0;   ///< wire epoch, re-checked against the fence floor
-  };
-
-  /// Pop everything from the ring and overflow into the per-key stash,
-  /// dropping entries below the fence floor and restoring a bucket's ticket
-  /// order when ring/overflow interleaving delivered out of order. Caller
-  /// holds consumer_mutex_.
-  void drain_locked();
-  /// Oldest stash entry with this (source, tag), if any: a hash lookup and
-  /// a front pop — O(1) regardless of how deep other keys' backlogs are.
-  /// Caller holds consumer_mutex_.
-  std::optional<RawMessage> match_locked(Rank source, Tag tag);
-  /// Raise poison / ClusterAborted if the mailbox is failed or down.
-  void raise_if_failed();
-  /// Wake any parked consumer after a state change (shutdown/poison/fence).
-  void notify_consumers();
-
-  // --- producer side (lock-free fast path) ---
-  support::MpscRing<Entry> ring_;
-  std::atomic<std::uint64_t> ticket_counter_{0};
-  std::atomic<std::size_t> undrained_{0};  ///< deposited, not yet stashed
-  std::mutex overflow_mutex_;
-  std::deque<Entry> overflow_;
-  std::atomic<bool> overflow_nonempty_{false};
-
-  /// One (source, tag) key's drained, unmatched messages in deposit order.
-  /// Live entries are [head, q.size()); the front pops by advancing `head`
-  /// (no O(backlog) shift per take) and the dead prefix is compacted once
-  /// it dominates, preserving capacity — steady state stays allocation-free
-  /// after warmup. Slots before the head are moved-from.
-  struct Stash {
-    std::vector<Entry> q;
+  /// One source's queued messages in deposit order: live entries are
+  /// [head, q.size()); slots before the head are moved-from.
+  struct Lane {
+    std::vector<RawMessage> q;
     std::size_t head = 0;
   };
 
-  static std::uint64_t stash_key(Rank source, Tag tag) {
-    return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(source))
-            << 32) |
-           static_cast<std::uint32_t>(tag);
-  }
+  Lane& lane(Rank source);
+  /// Remove and return the lane's oldest queued message with this tag, if
+  /// any. Caller holds mutex_.
+  std::optional<RawMessage> match_locked(Lane& l, Tag tag);
+  /// Raise the poison notice / ClusterAborted if failed or down. Caller
+  /// holds mutex_.
+  void raise_if_failed_locked() const;
+  /// Empty every lane, keeping capacity. Caller holds mutex_.
+  void purge_locked();
 
-  // --- consumer side ---
-  std::mutex consumer_mutex_;  ///< serializes matching + drains across takers
-  std::unordered_map<std::uint64_t, Stash> stash_;
-  std::atomic<std::size_t> stashed_{0};
-
-  // --- blocking slow path ---
-  std::mutex wake_mutex_;
+  mutable std::mutex mutex_;
   std::condition_variable cv_;
-  std::atomic<bool> sleeping_{false};
-
-  // --- failure / recovery state ---
-  std::atomic<bool> down_{false};
-  std::atomic<bool> poisoned_{false};
-  std::atomic<std::uint32_t> epoch_floor_{0};
-  std::mutex state_mutex_;  ///< guards the poison payload only
-  std::optional<FailNotice> poison_;
-
-  // --- payload buffer pool (own lock: never contends with matching) ---
-  mutable std::mutex pool_mutex_;
+  std::vector<Lane> lanes_;  ///< indexed by source rank
+  std::size_t pending_ = 0;
   BufferPool pool_;
+  bool down_ = false;
+  std::optional<FailNotice> poison_;
+  std::uint32_t epoch_floor_ = 0;
 };
 
 }  // namespace stance::mp

@@ -66,8 +66,8 @@ class Rendezvous {
   void shutdown();
 
   /// Drop round state. Shutdown is *sticky*: a rendezvous that released
-  /// waiters stays down across clear() — only reset() revives it (same
-  /// lifecycle as Mailbox). Dead-rank state also survives clear().
+  /// waiters stays down across clear() — only reset() revives it (as a
+  /// shut-down Mailbox stays down). Dead-rank state also survives clear().
   void clear();
 
   /// Drop round state, revive all ranks, and clear the shutdown flag and any

@@ -7,7 +7,7 @@
 
 #include "mp/fault.hpp"
 #include "mp/node_map.hpp"
-#include "mp/shm_ring.hpp"
+#include "mp/mailbox.hpp"
 #include "mp/transport_inproc.hpp"
 #include "mp/transport_tcp.hpp"
 #include "support/assert.hpp"
@@ -66,8 +66,12 @@ void Transport::mark_dead(Rank rank, FailCause cause) {
   any_dead_.store(true, std::memory_order_seq_cst);
   fail_pending_.store(true, std::memory_order_seq_cst);
   epoch_.fetch_add(1, std::memory_order_seq_cst);
-  rendezvous_.mark_dead(rank, notice);
+  // Poison before waking the rendezvous: a survivor released from a
+  // collective could otherwise finish agree_on_survivors (whose fence
+  // clears poison) before this thread poisons, leaving a stale notice on a
+  // recovered queue. Each queue also drops notices below its fence floor.
   fail_local(notice);
+  rendezvous_.mark_dead(rank, notice);
 }
 
 std::vector<Rank> Transport::dead_ranks() const {
@@ -155,9 +159,9 @@ bool Transport::apply_frame_faults(Rank from, Rank to, std::span<const std::byte
   return true;
 }
 
-RawMessage Transport::deadline_take(ShmRing& ring, Rank self, Rank from, Tag tag) {
+RawMessage Transport::deadline_take(Mailbox& box, Rank self, Rank from, Tag tag) {
   const int deadline_ms = peer_timeout_ms_;
-  if (deadline_ms <= 0) return ring.take(from, tag);
+  if (deadline_ms <= 0) return box.take(from, tag);
   // Bounded retry with exponential backoff: wait slices grow 2x from
   // deadline/8 up to the full deadline. The peer's liveness stamp re-arms
   // the budget — only a peer silent for a full cumulative deadline is
@@ -170,7 +174,7 @@ RawMessage Transport::deadline_take(ShmRing& ring, Rank self, Rank from, Tag tag
   for (;;) {
     heartbeat(self);  // a blocked-but-alive taker keeps its own stamp fresh
     const std::int64_t wait_ms = std::min(slice_ms, budget_ms);
-    auto msg = ring.take_for(from, tag, std::chrono::milliseconds(wait_ms));
+    auto msg = box.take_for(from, tag, std::chrono::milliseconds(wait_ms));
     if (msg.has_value()) return std::move(*msg);
     const std::uint64_t now_stamp =
         liveness_[static_cast<std::size_t>(from)].load(std::memory_order_relaxed);
@@ -205,9 +209,8 @@ std::unique_ptr<Transport> make_transport(TransportKind kind, int nprocs,
                                           const NodeMap& nodes) {
   switch (kind) {
     case TransportKind::kVirtual:
-      return std::make_unique<VirtualTransport>(nprocs);
     case TransportKind::kShm:
-      return std::make_unique<ShmTransport>(nprocs);
+      return std::make_unique<InprocTransport>(kind, nprocs);
     case TransportKind::kTcp:
       return std::make_unique<TcpTransport>(nprocs, nodes);
     case TransportKind::kDefault:

@@ -8,13 +8,15 @@
 // on every backend, and why the whole virtual-cluster test suite doubles as
 // a conformance suite for the real backends.
 //
-// Backends:
+// Backends (every one delivers through per-rank mp::Mailbox queues with one
+// FIFO lane per source rank):
 //   kVirtual — threads + per-rank Mailboxes + a shared Rendezvous. The
-//              deterministic oracle; trusted (peers are this process).
-//   kShm     — per-rank ShmRing lanes for ALL rank pairs: the co-resident
-//              ("shared-memory mailbox ring") path of the real transport,
-//              run standalone. Trusted.
-//   kTcp     — ShmRing lanes between co-resident ranks plus framed TCP
+//              deterministic oracle; trusted (peers are this process);
+//              receives block forever.
+//   kShm     — the same in-process class (InprocTransport) run as the
+//              co-resident path of the real transport: receives honor the
+//              peer deadline. Trusted.
+//   kTcp     — Mailboxes between co-resident ranks plus framed TCP
 //              sockets between NodeMap nodes. Frames carry
 //              (source, tag, size) headers so coalesced frames travel
 //              unchanged. Untrusted: malformed peer frames surface as
@@ -54,7 +56,7 @@ namespace stance::mp {
 
 class NodeMap;
 class FaultInjector;
-class ShmRing;
+class Mailbox;
 
 enum class TransportKind {
   kDefault,  ///< resolve from $STANCE_TRANSPORT (virtual|shm|tcp); virtual if unset
@@ -203,12 +205,12 @@ class Transport {
     liveness_[static_cast<std::size_t>(rank)].fetch_add(1, std::memory_order_relaxed);
   }
 
-  /// Deadline-honoring take for ring-based backends: blocks like
-  /// ShmRing::take when no deadline is set; otherwise waits in bounded
+  /// Deadline-honoring take for the real backends: blocks like
+  /// Mailbox::take when no deadline is set; otherwise waits in bounded
   /// exponentially-backed-off slices, re-arming whenever `from`'s liveness
   /// stamp advances, and declares `from` dead when a full deadline passes
   /// without progress.
-  RawMessage deadline_take(ShmRing& ring, Rank self, Rank from, Tag tag);
+  RawMessage deadline_take(Mailbox& box, Rank self, Rank from, Tag tag);
 
   const int nprocs_;
   Rendezvous rendezvous_;

@@ -6,111 +6,76 @@
 
 namespace stance::mp {
 
-// --- VirtualTransport -------------------------------------------------------
+InprocTransport::InprocTransport(TransportKind kind, int nprocs)
+    : Transport(nprocs), kind_(kind) {
+  STANCE_REQUIRE(kind != TransportKind::kDefault,
+                 "in-process transport: kind must be concrete");
+  for (int r = 0; r < nprocs; ++r) boxes_.emplace_back(nprocs);
+}
 
-VirtualTransport::VirtualTransport(int nprocs)
-    : Transport(nprocs), boxes_(static_cast<std::size_t>(nprocs)) {}
+const char* InprocTransport::name() const noexcept {
+  switch (kind_) {
+    case TransportKind::kShm: return "shm";
+    case TransportKind::kTcp: return "tcp";
+    default: return "virtual";
+  }
+}
 
-void VirtualTransport::send(Rank from, Rank to, Tag tag,
-                            std::span<const std::byte> data, double arrival) {
-  // Epoch is read BEFORE the failure guard: a send racing a mark_dead either
-  // sees the failure here, or carries the pre-bump epoch and is dropped by
-  // the receiver's fence floor.
+void InprocTransport::send(Rank from, Rank to, Tag tag,
+                           std::span<const std::byte> data, double arrival) {
+  // Epoch is read BEFORE the failure guard (see Transport::mark_dead): a
+  // send racing a mark_dead either sees the failure here, or carries the
+  // pre-bump epoch and is dropped by the receiver's fence floor.
   const std::uint32_t e = epoch();
   guard_send(from);
   std::vector<std::byte> scratch;
   if (!apply_frame_faults(from, to, data, arrival, scratch)) return;
-  Mailbox& box = boxes_[static_cast<std::size_t>(to)];
-  std::vector<std::byte> payload = box.acquire(data.size());
+  deliver(from, to, tag, data, arrival, e);
+}
+
+void InprocTransport::deliver(Rank from, Rank to, Tag tag,
+                              std::span<const std::byte> data, double arrival,
+                              std::uint32_t wire_epoch) {
+  Mailbox& dest = box(to);
+  std::vector<std::byte> payload = dest.acquire(data.size());
   std::copy(data.begin(), data.end(), payload.begin());
-  box.deposit(RawMessage{from, tag, std::move(payload), arrival}, e);
+  dest.deposit(RawMessage{from, tag, std::move(payload), arrival}, wire_epoch);
 }
 
-RawMessage VirtualTransport::recv(Rank self, Rank from, Tag tag) {
+RawMessage InprocTransport::recv(Rank self, Rank from, Tag tag) {
   heartbeat(self);
-  return boxes_[static_cast<std::size_t>(self)].take(from, tag);
+  if (kind_ == TransportKind::kVirtual) return box(self).take(from, tag);
+  return deadline_take(box(self), self, from, tag);
 }
 
-void VirtualTransport::recycle(Rank self, std::vector<std::byte> buffer) {
-  boxes_[static_cast<std::size_t>(self)].recycle(std::move(buffer));
+void InprocTransport::recycle(Rank self, std::vector<std::byte> buffer) {
+  box(self).recycle(std::move(buffer));
 }
 
-bool VirtualTransport::prefill(Rank self, std::size_t count, std::size_t bytes) {
-  return boxes_[static_cast<std::size_t>(self)].prefill(count, bytes);
+bool InprocTransport::prefill(Rank self, std::size_t count, std::size_t bytes) {
+  return box(self).prefill(count, bytes);
 }
 
-std::size_t VirtualTransport::pending(Rank self) const {
+std::size_t InprocTransport::pending(Rank self) const {
   return boxes_[static_cast<std::size_t>(self)].pending();
 }
 
-void VirtualTransport::shutdown() {
-  for (auto& box : boxes_) box.shutdown();
+void InprocTransport::shutdown() {
+  for (auto& b : boxes_) b.shutdown();
   rendezvous_.shutdown();
 }
 
-void VirtualTransport::reset() {
-  for (auto& box : boxes_) box.reset();
+void InprocTransport::reset() {
+  for (auto& b : boxes_) b.reset();
   reset_base();
 }
 
-void VirtualTransport::fail_local(const FailNotice& notice) {
-  for (auto& box : boxes_) box.poison(notice);
+void InprocTransport::fail_local(const FailNotice& notice) {
+  for (auto& b : boxes_) b.poison(notice);
 }
 
-void VirtualTransport::fence_local(Rank self, std::uint32_t floor) {
-  boxes_[static_cast<std::size_t>(self)].fence(floor);
-}
-
-// --- ShmTransport -----------------------------------------------------------
-
-ShmTransport::ShmTransport(int nprocs) : Transport(nprocs) {
-  for (int r = 0; r < nprocs; ++r) rings_.emplace_back(nprocs);
-}
-
-void ShmTransport::send(Rank from, Rank to, Tag tag, std::span<const std::byte> data,
-                        double arrival) {
-  const std::uint32_t e = epoch();
-  guard_send(from);
-  std::vector<std::byte> scratch;
-  if (!apply_frame_faults(from, to, data, arrival, scratch)) return;
-  ShmRing& ring = rings_[static_cast<std::size_t>(to)];
-  std::vector<std::byte> payload = ring.acquire(data.size());
-  std::copy(data.begin(), data.end(), payload.begin());
-  ring.deposit(RawMessage{from, tag, std::move(payload), arrival}, e);
-}
-
-RawMessage ShmTransport::recv(Rank self, Rank from, Tag tag) {
-  return deadline_take(rings_[static_cast<std::size_t>(self)], self, from, tag);
-}
-
-void ShmTransport::recycle(Rank self, std::vector<std::byte> buffer) {
-  rings_[static_cast<std::size_t>(self)].recycle(std::move(buffer));
-}
-
-bool ShmTransport::prefill(Rank self, std::size_t count, std::size_t bytes) {
-  return rings_[static_cast<std::size_t>(self)].prefill(count, bytes);
-}
-
-std::size_t ShmTransport::pending(Rank self) const {
-  return rings_[static_cast<std::size_t>(self)].pending();
-}
-
-void ShmTransport::shutdown() {
-  for (auto& ring : rings_) ring.shutdown();
-  rendezvous_.shutdown();
-}
-
-void ShmTransport::reset() {
-  for (auto& ring : rings_) ring.reset();
-  reset_base();
-}
-
-void ShmTransport::fail_local(const FailNotice& notice) {
-  for (auto& ring : rings_) ring.poison(notice);
-}
-
-void ShmTransport::fence_local(Rank self, std::uint32_t floor) {
-  rings_[static_cast<std::size_t>(self)].fence(floor);
+void InprocTransport::fence_local(Rank self, std::uint32_t floor) {
+  box(self).fence(floor);
 }
 
 }  // namespace stance::mp

@@ -1,23 +1,25 @@
 // TCP transport backend: real sockets between NodeMap nodes.
 //
-// Co-resident ranks exchange through ShmRing lanes exactly like the shm
-// backend. Ranks on different nodes exchange framed messages over loopback
-// TCP connections — one full-duplex connection per node pair, established
-// at construction. Every frame carries a fixed header
-// (magic, epoch, source, dest, tag, size, arrival): source/tag let the
-// receiver lane-match without inspecting the payload, so coalesced frames
-// (sched::CoalescePlan's tag-transformed messages) travel unchanged; the
-// arrival stamp carries Process's virtual-time accounting across the wire,
-// keeping virtual clocks bit-identical to the in-process backends.
+// Co-resident ranks exchange through per-rank Mailboxes exactly like the
+// shm backend: TcpTransport derives from InprocTransport and overrides only
+// frame delivery toward other nodes. Ranks on different nodes exchange
+// framed messages over loopback TCP connections — one full-duplex
+// connection per node pair, established at construction. Every frame
+// carries a fixed header (magic, epoch, source, dest, tag, size, arrival):
+// source/tag let the receiver lane-match without inspecting the payload, so
+// coalesced frames (sched::CoalescePlan's tag-transformed messages) travel
+// unchanged; the arrival stamp carries Process's virtual-time accounting
+// across the wire, keeping virtual clocks bit-identical to the in-process
+// backends.
 //
 // Concurrency: co-resident senders share their node's connection to each
 // peer node under a per-connection write mutex — each frame is written
 // atomically, so TCP's in-order delivery preserves per-(source, tag) FIFO.
 // One reader thread per connection endpoint validates headers and deposits
-// frames into the destination rank's ring.
+// frames into the destination rank's mailbox.
 //
 // Trust: this backend is untrusted. A frame that fails validation (bad
-// magic, out-of-range ranks, oversized payload) poisons the rings —
+// magic, out-of-range ranks, oversized payload) poisons the mailboxes —
 // blocked receivers throw mp::TransportError attributing the sending node
 // with FailCause::kMalformedFrame instead of aborting the process — and
 // permanently fails the transport (a desynced byte stream cannot be
@@ -33,34 +35,21 @@
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <mutex>
 #include <thread>
 #include <vector>
 
-#include "mp/shm_ring.hpp"
-#include "mp/transport.hpp"
+#include "mp/transport_inproc.hpp"
 
 namespace stance::mp {
 
-class TcpTransport final : public Transport {
+class TcpTransport final : public InprocTransport {
  public:
   TcpTransport(int nprocs, const NodeMap& nodes);
   ~TcpTransport() override;
 
-  [[nodiscard]] const char* name() const noexcept override { return "tcp"; }
-  [[nodiscard]] TransportKind kind() const noexcept override {
-    return TransportKind::kTcp;
-  }
   [[nodiscard]] bool trusted() const noexcept override { return false; }
 
-  void send(Rank from, Rank to, Tag tag, std::span<const std::byte> data,
-            double arrival) override;
-  [[nodiscard]] RawMessage recv(Rank self, Rank from, Tag tag) override;
-  void recycle(Rank self, std::vector<std::byte> buffer) override;
-  [[nodiscard]] bool prefill(Rank self, std::size_t count, std::size_t bytes) override;
-  [[nodiscard]] std::size_t pending(Rank self) const override;
-  void shutdown() override;
   void reset() override;
 
   /// Test hook (malformed-frame injection): write raw `junk` bytes on the
@@ -84,8 +73,8 @@ class TcpTransport final : public Transport {
   static constexpr std::uint32_t kMaxFrameBytes = 1u << 28;
 
  protected:
-  void fail_local(const FailNotice& notice) override;
-  void fence_local(Rank self, std::uint32_t floor) override;
+  void deliver(Rank from, Rank to, Tag tag, std::span<const std::byte> data,
+               double arrival, std::uint32_t wire_epoch) override;
 
  private:
   /// One endpoint of a node-pair connection: this node's fd for traffic to
@@ -102,11 +91,9 @@ class TcpTransport final : public Transport {
   }
 
   void reader_loop(int node, int peer, int fd);
-  void poison_all(const FailNotice& notice);
 
   const int nnodes_;
   std::vector<int> node_of_;  ///< rank -> node, frozen at construction
-  std::deque<ShmRing> rings_;  ///< deque: ShmRing is pinned (mutex/cv members)
   std::vector<Link> links_;  ///< nnodes x nnodes, diagonal unused
   std::vector<std::thread> readers_;
   std::atomic<bool> wire_dead_{false};

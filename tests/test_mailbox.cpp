@@ -1,11 +1,20 @@
-// Unit tests for mp::Mailbox and mp::Rendezvous, including threaded blocking
-// behaviour and shutdown (failure-injection) paths.
+// Unit tests for mp::Mailbox and mp::Rendezvous: matching and FIFO order,
+// threaded blocking behaviour, shutdown/poison/fence (failure-injection)
+// paths, multi-producer floods, and fault-injector interleavings at cluster
+// level. The whole file re-runs on the shm and tcp backends via the
+// _shm/_tcp ctest variants, and the CI tsan leg runs it under
+// ThreadSanitizer — the floods are the data-race oracle for the queue.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <string>
 #include <thread>
+#include <vector>
 
+#include "mp/cluster.hpp"
 #include "mp/errors.hpp"
+#include "mp/fault.hpp"
 #include "mp/mailbox.hpp"
 #include "mp/message.hpp"
 #include "mp/rendezvous.hpp"
@@ -13,10 +22,16 @@
 namespace stance::mp {
 namespace {
 
+/// Source ranks a test mailbox accepts (the tests use ranks 0..5).
+constexpr int kSources = 8;
+constexpr std::chrono::milliseconds kNoWait{0};
+
 RawMessage make_msg(Rank src, Tag tag, std::initializer_list<int> vals, double arrival) {
   std::vector<int> v(vals);
   return RawMessage{src, tag, to_bytes(std::span<const int>(v)), arrival};
 }
+
+int value_of(const RawMessage& m) { return from_bytes<int>(m.payload)[0]; }
 
 TEST(Bytes, RoundTripInts) {
   std::vector<int> v{1, -2, 3, 2000000000};
@@ -33,39 +48,56 @@ TEST(Bytes, RoundTripDoublesAndEmpty) {
 }
 
 TEST(Mailbox, TakeMatchesSourceAndTag) {
-  Mailbox box;
+  Mailbox box(kSources);
   box.deposit(make_msg(1, 10, {111}, 0.0));
   box.deposit(make_msg(2, 10, {222}, 0.0));
   box.deposit(make_msg(1, 20, {333}, 0.0));
   const auto m = box.take(2, 10);
-  EXPECT_EQ(from_bytes<int>(m.payload)[0], 222);
+  EXPECT_EQ(value_of(m), 222);
   EXPECT_EQ(box.pending(), 2u);
 }
 
 TEST(Mailbox, FifoPerSenderAndTag) {
-  Mailbox box;
+  Mailbox box(kSources);
   box.deposit(make_msg(3, 7, {1}, 0.0));
   box.deposit(make_msg(3, 7, {2}, 0.0));
   box.deposit(make_msg(3, 7, {3}, 0.0));
-  EXPECT_EQ(from_bytes<int>(box.take(3, 7).payload)[0], 1);
-  EXPECT_EQ(from_bytes<int>(box.take(3, 7).payload)[0], 2);
-  EXPECT_EQ(from_bytes<int>(box.take(3, 7).payload)[0], 3);
+  EXPECT_EQ(value_of(box.take(3, 7)), 1);
+  EXPECT_EQ(value_of(box.take(3, 7)), 2);
+  EXPECT_EQ(value_of(box.take(3, 7)), 3);
+  // Interleaved tags on one source's lane: a take behind the lane's head
+  // must not disturb the order of the other tag's messages.
+  box.deposit(make_msg(1, 5, {10}, 0.0));
+  box.deposit(make_msg(2, 5, {20}, 0.0));
+  box.deposit(make_msg(1, 6, {11}, 0.0));
+  box.deposit(make_msg(1, 5, {12}, 0.0));
+  EXPECT_EQ(value_of(box.take(1, 6)), 11);
+  EXPECT_EQ(value_of(box.take(1, 5)), 10);
+  EXPECT_EQ(value_of(box.take(1, 5)), 12);
+  EXPECT_EQ(value_of(box.take(2, 5)), 20);
+  EXPECT_EQ(box.pending(), 0u);
 }
 
-TEST(Mailbox, TryTakeReturnsEmptyWhenNoMatch) {
-  Mailbox box;
+TEST(Mailbox, TakeForReturnsEmptyWhenNoMatch) {
+  Mailbox box(kSources);
   box.deposit(make_msg(1, 1, {9}, 0.0));
-  EXPECT_FALSE(box.try_take(1, 2).has_value());
-  EXPECT_FALSE(box.try_take(2, 1).has_value());
-  EXPECT_TRUE(box.try_take(1, 1).has_value());
+  EXPECT_FALSE(box.take_for(1, 2, kNoWait).has_value());
+  EXPECT_FALSE(box.take_for(2, 1, kNoWait).has_value());
+  EXPECT_TRUE(box.take_for(1, 1, kNoWait).has_value());
+}
+
+TEST(Mailbox, RejectsSourceOutOfRange) {
+  Mailbox box(2);
+  EXPECT_THROW((void)box.take_for(2, 1, kNoWait), std::invalid_argument);
+  EXPECT_THROW((void)box.take_for(-1, 1, kNoWait), std::invalid_argument);
 }
 
 TEST(Mailbox, BlockingTakeWakesOnDeposit) {
-  Mailbox box;
+  Mailbox box(kSources);
   std::atomic<bool> got{false};
   std::thread taker([&] {
     const auto m = box.take(5, 5);
-    EXPECT_EQ(from_bytes<int>(m.payload)[0], 55);
+    EXPECT_EQ(value_of(m), 55);
     got = true;
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
@@ -76,7 +108,7 @@ TEST(Mailbox, BlockingTakeWakesOnDeposit) {
 }
 
 TEST(Mailbox, ShutdownReleasesBlockedTaker) {
-  Mailbox box;
+  Mailbox box(kSources);
   std::atomic<bool> aborted{false};
   std::thread taker([&] {
     try {
@@ -92,50 +124,45 @@ TEST(Mailbox, ShutdownReleasesBlockedTaker) {
 }
 
 TEST(Mailbox, DepositAfterShutdownIsDropped) {
-  Mailbox box;
+  Mailbox box(kSources);
   box.shutdown();
   box.deposit(make_msg(1, 1, {1}, 0.0));
   EXPECT_EQ(box.pending(), 0u);
 }
 
-TEST(Mailbox, ClearKeepsShutdownSticky) {
-  // A mailbox that released blocked takers must not be silently revived by
-  // clear(): a still-unwinding peer's late deposit would leak into the next
-  // run. Only the explicit reset() re-opens it.
-  Mailbox box;
+TEST(Mailbox, ShutdownIsStickyUntilReset) {
+  // A mailbox that released blocked takers must not be revived by a fence:
+  // a still-unwinding peer's late deposit would leak into the next run.
+  // Only the explicit reset() re-opens it.
+  Mailbox box(kSources);
   box.shutdown();
-  box.clear();
+  box.fence(/*floor=*/0);
   box.deposit(make_msg(1, 1, {1}, 0.0));
   EXPECT_EQ(box.pending(), 0u);
-  EXPECT_THROW((void)box.try_take(1, 1), ClusterAborted);
-}
-
-TEST(Mailbox, ResetReenablesAfterShutdown) {
-  Mailbox box;
-  box.shutdown();
+  EXPECT_THROW((void)box.take_for(1, 1, kNoWait), ClusterAborted);
   box.reset();
-  box.deposit(make_msg(1, 1, {1}, 0.0));
+  box.deposit(make_msg(1, 1, {2}, 0.0));
   EXPECT_EQ(box.pending(), 1u);
-  EXPECT_TRUE(box.try_take(1, 1).has_value());
+  EXPECT_EQ(value_of(box.take(1, 1)), 2);
 }
 
-TEST(Mailbox, TryTakeThrowsAfterShutdown) {
-  Mailbox box;
+TEST(Mailbox, TakeForThrowsAfterShutdown) {
+  Mailbox box(kSources);
   box.deposit(make_msg(1, 1, {9}, 0.0));
   box.shutdown();
-  EXPECT_THROW((void)box.try_take(1, 1), ClusterAborted);
+  EXPECT_THROW((void)box.take_for(1, 1, kNoWait), ClusterAborted);
 }
 
 TEST(Mailbox, TakeThrowsImmediatelyWhenAlreadyDown) {
   // The non-blocking arm of the shutdown path: a taker that arrives after
   // shutdown must not wait for a deposit that can never come.
-  Mailbox box;
+  Mailbox box(kSources);
   box.shutdown();
   EXPECT_THROW((void)box.take(2, 2), ClusterAborted);
 }
 
 TEST(Mailbox, ShutdownReleasesSeveralBlockedTakers) {
-  Mailbox box;
+  Mailbox box(kSources);
   std::atomic<int> aborted{0};
   std::vector<std::thread> takers;
   for (int t = 0; t < 3; ++t) {
@@ -153,21 +180,23 @@ TEST(Mailbox, ShutdownReleasesSeveralBlockedTakers) {
   EXPECT_EQ(aborted.load(), 3);
 }
 
-TEST(Mailbox, ClearDropsQueuedMessagesButKeepsPool) {
-  Mailbox box;
+TEST(Mailbox, ResetDropsQueuedMessagesButKeepsPool) {
+  Mailbox box(kSources);
   box.deposit(make_msg(1, 1, {1}, 0.0));
   box.deposit(make_msg(1, 2, {2}, 0.0));
   ASSERT_TRUE(box.prefill(1, 64));
-  box.clear();
+  box.reset();
   EXPECT_EQ(box.pending(), 0u);
-  // The pool survives a clear: prior prefill guarantees still hold, so this
+  // The pool survives a reset: prior prefill guarantees still hold, so this
   // acquire reuses pooled capacity rather than allocating fresh.
-  const auto buffer = box.acquire(64);
+  auto buffer = box.acquire(64);
   EXPECT_EQ(buffer.size(), 64u);
+  box.recycle(std::move(buffer));
+  EXPECT_EQ(box.acquire(64).size(), 64u);
 }
 
 TEST(Mailbox, PrefillReportsTruncationAtPoolCap) {
-  Mailbox box;
+  Mailbox box(kSources);
   EXPECT_TRUE(box.prefill(10, 32));
   // Asking beyond the pool cap must be reported, not silently satisfied.
   EXPECT_FALSE(box.prefill(100000, 32));
@@ -179,7 +208,7 @@ TEST(Mailbox, PrefillGrowsBufferCapacityAtPoolCap) {
   // nothing could be appended and nothing was grown — so the executor's
   // prewarm retried (and failed) forever. The pool now grows buffers in
   // place when it is at the cap.
-  Mailbox box;
+  Mailbox box(kSources);
   ASSERT_TRUE(box.prefill(BufferPool::kMaxPooled, 32));
   EXPECT_TRUE(box.prefill(BufferPool::kMaxPooled, 4096));
   // The grown capacity is real: acquiring at the new size reuses pooled
@@ -189,26 +218,35 @@ TEST(Mailbox, PrefillGrowsBufferCapacityAtPoolCap) {
 }
 
 TEST(Mailbox, RingOverflowPreservesFifoAndCount) {
-  // Deposits beyond the lock-free ring's capacity spill to the overflow
-  // queue; the consumer must still see every message, in per-sender order,
-  // with cross-source matching intact.
-  Mailbox box;
-  const int total = static_cast<int>(Mailbox::kRingSlots) * 2 + 17;
+  // A deep backlog — far past any prefilled lane depth — must grow the
+  // lanes without losing or reordering anything: the consumer sees every
+  // message, in per-sender order, with cross-source matching intact. Takes
+  // interleave with deposits so lanes also compact their consumed prefix.
+  Mailbox box(kSources);
+  ASSERT_TRUE(box.prefill(4, 8));
+  const int total = static_cast<int>(BufferPool::kMaxPooled) * 4 + 17;
   for (int i = 0; i < total; ++i) {
     box.deposit(make_msg(i % 2, 9, {i}, 0.0));
   }
   EXPECT_EQ(box.pending(), static_cast<std::size_t>(total));
   for (int i = 0; i < total; ++i) {
     const auto m = box.take(i % 2, 9);
-    EXPECT_EQ(from_bytes<int>(m.payload)[0], i) << "out of order at " << i;
+    EXPECT_EQ(value_of(m), i) << "out of order at " << i;
+    box.deposit(make_msg(i % 2, 9, {total + i}, 0.0));
+  }
+  for (int i = 0; i < total; ++i) {
+    EXPECT_EQ(value_of(box.take(i % 2, 9)), total + i) << "out of order at " << i;
   }
   EXPECT_EQ(box.pending(), 0u);
 }
 
 TEST(Mailbox, FenceDropsQueuedClearsPoisonAndFiltersStaleEpochs) {
-  Mailbox box;
+  Mailbox box(kSources);
   box.deposit(make_msg(1, 1, {1}, 0.0), /*epoch=*/0);
   box.poison(FailNotice{.what = "peer died", .peer = 2, .peer_failed = true});
+  // The first poison wins: a later notice cannot replace it.
+  box.poison(FailNotice{.what = "second reason"});
+  EXPECT_THROW((void)box.take_for(1, 1, kNoWait), PeerFailed);
   box.fence(/*floor=*/1);
   EXPECT_EQ(box.pending(), 0u);
   // Stale pre-recovery traffic is dropped; current-epoch deposits flow.
@@ -216,7 +254,45 @@ TEST(Mailbox, FenceDropsQueuedClearsPoisonAndFiltersStaleEpochs) {
   EXPECT_EQ(box.pending(), 0u);
   box.deposit(make_msg(1, 1, {3}, 0.0), /*epoch=*/1);
   const auto m = box.take(1, 1);
-  EXPECT_EQ(from_bytes<int>(m.payload)[0], 3);
+  EXPECT_EQ(value_of(m), 3);
+}
+
+TEST(Mailbox, NoticeBelowFenceFloorIsDropped) {
+  // A rank's death is announced to every queue from the killing thread. If
+  // that thread is descheduled, the survivors can finish their recovery —
+  // fence included — before the notice lands; it must then not poison the
+  // recovered queue.
+  Mailbox box(kSources);
+  box.fence(/*floor=*/1);
+  box.poison(FailNotice{.what = "peer rank 3 failed", .peer = 3, .epoch = 0,
+                        .cause = FailCause::kKilled, .peer_failed = true});
+  EXPECT_NO_THROW(EXPECT_FALSE(box.take_for(1, 1, kNoWait).has_value()));
+  // A notice from the current epoch still poisons.
+  box.poison(FailNotice{.what = "peer rank 4 failed", .peer = 4, .epoch = 1,
+                        .cause = FailCause::kKilled, .peer_failed = true});
+  EXPECT_THROW((void)box.take_for(1, 1, kNoWait), PeerFailed);
+}
+
+TEST(Mailbox, PoisonReleasesBlockedTakerWithTransportError) {
+  Mailbox box(kSources);
+  std::atomic<bool> got_error{false};
+  std::thread taker([&] {
+    try {
+      (void)box.take(0, 1);
+    } catch (const TransportError& e) {
+      got_error = std::string(e.what()).find("bad wire") != std::string::npos;
+    }
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  box.poison(FailNotice{.what = "bad wire", .cause = FailCause::kMalformedFrame});
+  taker.join();
+  EXPECT_TRUE(got_error.load());
+  // Deposits are dropped while poisoned; reset() revives the queue.
+  box.deposit(make_msg(0, 1, {2}, 0.0));
+  EXPECT_EQ(box.pending(), 0u);
+  box.reset();
+  box.deposit(make_msg(0, 1, {3}, 0.0));
+  EXPECT_EQ(value_of(box.take(0, 1)), 3);
 }
 
 TEST(Rendezvous, SingleParticipantCompletesImmediately) {
@@ -287,6 +363,161 @@ TEST(Rendezvous, ShutdownReleasesWaiters) {
   rv.shutdown();
   waiter.join();
   EXPECT_TRUE(aborted.load());
+}
+
+
+// --- Mailbox under concurrent flood -----------------------------------------
+
+TEST(MailboxStress, ConcurrentProducersConsumerSeesEveryMessageInOrder) {
+  // Each producer is a distinct source rank flooding one mailbox while the
+  // consumer takes concurrently, so lanes grow, drain and compact under
+  // contention.
+  constexpr int kProducers = 4;
+  constexpr int kPerProducer = 2000;
+  constexpr Tag kTag = 11;
+  Mailbox box(kProducers);
+  std::vector<std::thread> producers;
+  for (int src = 0; src < kProducers; ++src) {
+    producers.emplace_back([&, src] {
+      for (int i = 0; i < kPerProducer; ++i) {
+        box.deposit(make_msg(src, kTag, {src * kPerProducer + i}, 0.0));
+      }
+    });
+  }
+  for (int i = 0; i < kPerProducer; ++i) {
+    for (int src = 0; src < kProducers; ++src) {
+      const auto m = box.take(src, kTag);
+      ASSERT_EQ(value_of(m), src * kPerProducer + i)
+          << "source " << src << " out of order at " << i;
+    }
+  }
+  for (auto& t : producers) t.join();
+  EXPECT_EQ(box.pending(), 0u);
+}
+
+TEST(MailboxStress, ShutdownReleasesBlockedTakerDuringFlood) {
+  // The taker waits on a tag the producers never send, so it is parked on
+  // the condvar while every deposit wakes it for a futile rescan.
+  // shutdown() from yet another thread must cut through.
+  Mailbox box(2);
+  std::atomic<bool> stop{false};
+  std::atomic<bool> aborted{false};
+  std::vector<std::thread> producers;
+  for (int src = 0; src < 2; ++src) {
+    producers.emplace_back([&, src] {
+      // Bounded flood: enough to keep the taker waking for the whole test,
+      // without letting a generous scheduler timeslice pile up an
+      // unbounded backlog.
+      for (int i = 0; i < 20000 && !stop.load(std::memory_order_acquire);
+           ++i) {
+        box.deposit(make_msg(src, /*tag=*/1, {i}, 0.0));
+      }
+    });
+  }
+  std::thread taker([&] {
+    try {
+      (void)box.take(0, /*tag=*/2);
+    } catch (const ClusterAborted&) {
+      aborted = true;
+    }
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  box.shutdown();
+  taker.join();
+  EXPECT_TRUE(aborted.load());
+  stop.store(true, std::memory_order_release);
+  for (auto& t : producers) t.join();
+  // Pre-shutdown deposits stay queued (reset() owns discarding them), but
+  // post-shutdown deposits are dropped.
+  const std::size_t queued = box.pending();
+  box.deposit(make_msg(0, 1, {0}, 0.0));
+  EXPECT_EQ(box.pending(), queued);
+}
+
+TEST(MailboxStress, PoisonReleasesBlockedTakerDuringFlood) {
+  Mailbox box(2);
+  std::atomic<bool> stop{false};
+  std::atomic<bool> failed{false};
+  std::thread producer([&] {
+    for (int i = 0; i < 20000 && !stop.load(std::memory_order_acquire); ++i) {
+      box.deposit(make_msg(1, /*tag=*/1, {i}, 0.0));
+    }
+  });
+  std::thread taker([&] {
+    try {
+      (void)box.take(1, /*tag=*/2);
+    } catch (const PeerFailed& e) {
+      EXPECT_EQ(e.peer(), 3);
+      failed = true;
+    }
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  box.poison(FailNotice{.what = "injected", .peer = 3, .peer_failed = true});
+  taker.join();
+  EXPECT_TRUE(failed.load());
+  stop.store(true, std::memory_order_release);
+  producer.join();
+}
+
+// --- fault-injector interleavings at cluster level --------------------------
+
+TEST(MailboxStress, DelayedFramesStillMatchInSendOrder) {
+  // A delay rule reshuffles virtual arrival stamps between two senders, so
+  // the receiving mailbox sees interleavings that never occur fault-free.
+  // Per-sender FIFO is a deposit-order property and must survive on every
+  // backend.
+  Cluster cluster(sim::MachineSpec::uniform(3));
+  cluster.set_fault_plan(FaultPlan{
+      .kills = {},
+      .frames = {FrameRule{.from = 1, .to = 0, .after_nth = 0, .count = 50,
+                           .fault = FrameFault::kDelay,
+                           .delay_seconds = 0.25}}});
+  constexpr int kRounds = 100;
+  cluster.run([&](Process& p) {
+    if (p.rank() == 0) {
+      for (int i = 0; i < kRounds; ++i) {
+        EXPECT_EQ(p.recv_value<int>(1, /*tag=*/7), 100 + i);
+        EXPECT_EQ(p.recv_value<int>(2, /*tag=*/7), 200 + i);
+      }
+    } else {
+      for (int i = 0; i < kRounds; ++i) {
+        p.send_value(0, /*tag=*/7, static_cast<int>(p.rank()) * 100 + i);
+      }
+    }
+  });
+  cluster.set_fault_plan(FaultPlan{});
+}
+
+TEST(MailboxStress, KillDuringFloodReleasesReceiverWithPeerFailed) {
+  // Rank 1 dies mid-flood; rank 0 is blocked in recv on it. The failure
+  // must surface as PeerFailed through the mailbox poison path — never a
+  // hang — on every backend.
+  Cluster cluster(sim::MachineSpec::uniform(2));
+  cluster.set_fault_plan(
+      FaultPlan{.kills = {KillRule{.rank = 1, .after_sends = 25}}, .frames = {}});
+  std::atomic<bool> observed{false};
+  cluster.run([&](Process& p) {
+    try {
+      if (p.rank() == 0) {
+        for (int i = 0; i < 100; ++i) {
+          (void)p.recv_value<int>(1, /*tag=*/3);
+        }
+        FAIL() << "rank 0 outlived its dead peer's message stream";
+      } else {
+        for (int i = 0; i < 100; ++i) p.send_value(0, /*tag=*/3, i);
+      }
+    } catch (const PeerFailed& e) {
+      EXPECT_EQ(e.peer(), 1);
+      observed = true;
+      // Recover: the survivor agreement fences this rank's queue, dropping
+      // the dead peer's unconsumed backlog.
+      const auto agreement = p.agree_on_survivors();
+      EXPECT_EQ(agreement.survivors, (std::vector<Rank>{0}));
+    }
+    // Rank 1's own RankKilled propagates: Cluster::run records the death.
+  });
+  EXPECT_TRUE(observed.load());
+  cluster.set_fault_plan(FaultPlan{});
 }
 
 }  // namespace

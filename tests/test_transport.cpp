@@ -2,9 +2,9 @@
 // same bytes in the same per-(source, tag) order and — because Process owns
 // all clock charging — produce bit-identical virtual times. The suite runs
 // each behavioral contract against the virtual oracle, the shared-memory
-// ring backend, and the TCP backend, plus TCP-only failure-injection tests
-// (malformed wire frames must surface as recoverable mp::TransportError)
-// and ShmRing lifecycle unit tests (sticky shutdown/poison until reset).
+// backend, and the TCP backend, plus TCP-only failure-injection tests
+// (malformed wire frames must surface as recoverable mp::TransportError).
+// The delivery queue's own lifecycle tests live in test_mailbox.cpp.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -18,7 +18,6 @@
 #include "graph/builders.hpp"
 #include "mp/cluster.hpp"
 #include "mp/errors.hpp"
-#include "mp/shm_ring.hpp"
 #include "mp/transport_tcp.hpp"
 #include "sched/coalesce.hpp"
 #include "test_util.hpp"
@@ -304,70 +303,6 @@ TEST(TransportFactory, EnvSelectionAndValidation) {
   EXPECT_EQ(mp::resolve_transport_kind(TransportKind::kDefault),
             TransportKind::kVirtual);
   if (old) ::setenv("STANCE_TRANSPORT", saved.c_str(), 1);
-}
-
-// --- ShmRing lifecycle unit tests -------------------------------------------
-
-mp::RawMessage ring_msg(mp::Rank src, mp::Tag tag, int value) {
-  std::vector<int> v{value};
-  return mp::RawMessage{src, tag, mp::to_bytes(std::span<const int>(v)), 0.0};
-}
-
-TEST(ShmRing, PerSourceFifoWithInterleavedTags) {
-  mp::ShmRing ring(3);
-  ring.deposit(ring_msg(1, 5, 10));
-  ring.deposit(ring_msg(2, 5, 20));
-  ring.deposit(ring_msg(1, 6, 11));
-  ring.deposit(ring_msg(1, 5, 12));
-  EXPECT_EQ(mp::from_bytes<int>(ring.take(1, 6).payload)[0], 11);
-  EXPECT_EQ(mp::from_bytes<int>(ring.take(1, 5).payload)[0], 10);
-  EXPECT_EQ(mp::from_bytes<int>(ring.take(1, 5).payload)[0], 12);
-  EXPECT_EQ(mp::from_bytes<int>(ring.take(2, 5).payload)[0], 20);
-  EXPECT_EQ(ring.pending(), 0u);
-}
-
-TEST(ShmRing, ShutdownIsStickyAcrossClearUntilReset) {
-  mp::ShmRing ring(2);
-  ring.shutdown();
-  ring.clear();
-  ring.deposit(ring_msg(1, 1, 1));  // dropped: still down
-  EXPECT_EQ(ring.pending(), 0u);
-  EXPECT_THROW((void)ring.take(1, 1), mp::ClusterAborted);
-  ring.reset();
-  ring.deposit(ring_msg(1, 1, 2));
-  EXPECT_EQ(mp::from_bytes<int>(ring.take(1, 1).payload)[0], 2);
-}
-
-TEST(ShmRing, PoisonReleasesBlockedTakerWithTransportError) {
-  mp::ShmRing ring(2);
-  std::atomic<bool> got_error{false};
-  std::thread taker([&] {
-    try {
-      (void)ring.take(0, 1);
-    } catch (const mp::TransportError& e) {
-      got_error = std::string(e.what()).find("bad wire") != std::string::npos;
-    }
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  ring.poison("bad wire");
-  taker.join();
-  EXPECT_TRUE(got_error.load());
-  // Sticky across clear, revived by reset — and the first poison wins.
-  ring.poison("second reason");
-  ring.clear();
-  EXPECT_THROW((void)ring.take(0, 1), mp::TransportError);
-  ring.reset();
-  ring.deposit(ring_msg(0, 1, 3));
-  EXPECT_EQ(mp::from_bytes<int>(ring.take(0, 1).payload)[0], 3);
-}
-
-TEST(ShmRing, PoolPrefillAndRecycleRoundTrip) {
-  mp::ShmRing ring(2);
-  EXPECT_TRUE(ring.prefill(4, 64));
-  auto buffer = ring.acquire(64);
-  EXPECT_EQ(buffer.size(), 64u);
-  ring.recycle(std::move(buffer));
-  EXPECT_FALSE(ring.prefill(100000, 8));  // cap reported, not silently granted
 }
 
 }  // namespace
