@@ -1,16 +1,16 @@
-// Stress suite for the lock-free delivery path introduced by ISSUE 9:
-// support::MpscRing unit semantics, multi-producer floods through the ring
-// and through mp::Mailbox, shutdown/poison while takers are blocked mid-
-// flood, and fault-injector interleavings at cluster level. The whole file
-// re-runs on the shm and tcp backends via the _shm/_tcp ctest variants, and
-// the CI tsan leg runs it under ThreadSanitizer — these tests are the data-
-// race oracle for the ring and the Dekker-style sleep/wake handshake.
+// Stress suite for the multi-producer, single-consumer delivery path of
+// mp::Mailbox: multi-producer floods, shutdown/poison while a taker is
+// blocked mid-flood, and fault-injector interleavings at cluster level. The
+// whole file re-runs on the shm and tcp backends via the _shm/_tcp ctest
+// variants, and the CI tsan leg runs it under ThreadSanitizer — the floods
+// are the data-race oracle for the queue.
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstdint>
+#include <chrono>
+#include <initializer_list>
+#include <span>
 #include <thread>
-#include <utility>
 #include <vector>
 
 #include "mp/cluster.hpp"
@@ -18,142 +18,39 @@
 #include "mp/fault.hpp"
 #include "mp/mailbox.hpp"
 #include "mp/message.hpp"
-#include "support/mpsc_ring.hpp"
 
-namespace stance {
+namespace stance::mp {
 namespace {
 
-using mp::FaultPlan;
-using mp::FrameFault;
-using mp::FrameRule;
-using mp::KillRule;
-using support::MpscRing;
-
-// --- MpscRing unit semantics ------------------------------------------------
-
-TEST(MpscRing, PushPopIsFifo) {
-  MpscRing<int> ring(8);
-  for (int i = 0; i < 5; ++i) EXPECT_TRUE(ring.try_push(int{i}));
-  int out = -1;
-  for (int i = 0; i < 5; ++i) {
-    ASSERT_TRUE(ring.try_pop(out));
-    EXPECT_EQ(out, i);
-  }
-  EXPECT_FALSE(ring.try_pop(out));
+RawMessage make_msg(Rank src, Tag tag, std::initializer_list<int> vals, double arrival) {
+  std::vector<int> v(vals);
+  return RawMessage{src, tag, to_bytes(std::span<const int>(v)), arrival};
 }
 
-TEST(MpscRing, FullRingRejectsWithoutConsuming) {
-  MpscRing<int> ring(4);
-  for (int i = 0; i < 4; ++i) ASSERT_TRUE(ring.try_push(int{i}));
-  EXPECT_FALSE(ring.try_push(99));
-  EXPECT_EQ(ring.claimed(), 4u);  // a rejected push claims no position
-  // One pop frees exactly one slot; FIFO order is undisturbed.
-  int out = -1;
-  ASSERT_TRUE(ring.try_pop(out));
-  EXPECT_EQ(out, 0);
-  EXPECT_EQ(ring.popped(), 1u);
-  EXPECT_TRUE(ring.try_push(4));
-  EXPECT_EQ(ring.claimed(), 5u);
-  for (int expect = 1; expect <= 4; ++expect) {
-    ASSERT_TRUE(ring.try_pop(out));
-    EXPECT_EQ(out, expect);
-  }
-}
-
-TEST(MpscRing, WrapsAroundManyTimes) {
-  MpscRing<std::size_t> ring(8);
-  std::size_t out = 0;
-  for (std::size_t i = 0; i < 10000; ++i) {
-    ASSERT_TRUE(ring.try_push(std::size_t{i}));
-    ASSERT_TRUE(ring.try_pop(out));
-    EXPECT_EQ(out, i);
-  }
-}
-
-TEST(MpscRing, DestructorDrainsLiveElements) {
-  // Leak-checked by the asan CI leg: elements still in flight at destruction
-  // must be destroyed, not abandoned.
-  MpscRing<std::vector<int>> ring(16);
-  for (int i = 0; i < 10; ++i) {
-    ASSERT_TRUE(ring.try_push(std::vector<int>(100, i)));
-  }
-}
-
-TEST(MpscRing, RejectsNonPowerOfTwoCapacity) {
-  EXPECT_THROW(MpscRing<int>(0), std::invalid_argument);
-  EXPECT_THROW(MpscRing<int>(3), std::invalid_argument);
-  EXPECT_THROW(MpscRing<int>(100), std::invalid_argument);
-}
-
-TEST(MpscRingStress, MultiProducerFloodKeepsPerProducerFifo) {
-  // 4 producers race CAS claims on a deliberately small ring while a
-  // consumer drains concurrently; every element must arrive exactly once
-  // and in per-producer order. Producers spin when the ring is full — the
-  // Mailbox never does this (it overflows instead), so the spin here keeps
-  // the test entirely on the lock-free path.
-  constexpr int kProducers = 4;
-  constexpr int kPerProducer = 5000;
-  MpscRing<std::pair<int, int>> ring(64);
-  std::atomic<bool> go{false};
-  std::vector<std::thread> producers;
-  for (int id = 0; id < kProducers; ++id) {
-    producers.emplace_back([&, id] {
-      while (!go.load(std::memory_order_acquire)) {
-      }
-      for (int seq = 0; seq < kPerProducer; ++seq) {
-        while (!ring.try_push(std::pair<int, int>{id, seq})) {
-          std::this_thread::yield();
-        }
-      }
-    });
-  }
-  std::vector<int> next_seq(kProducers, 0);
-  int received = 0;
-  go.store(true, std::memory_order_release);
-  while (received < kProducers * kPerProducer) {
-    std::pair<int, int> item;
-    if (!ring.try_pop(item)) {
-      std::this_thread::yield();
-      continue;
-    }
-    ASSERT_EQ(item.second, next_seq[static_cast<std::size_t>(item.first)])
-        << "producer " << item.first << " reordered";
-    ++next_seq[static_cast<std::size_t>(item.first)];
-    ++received;
-  }
-  for (auto& t : producers) t.join();
-  std::pair<int, int> leftover;
-  EXPECT_FALSE(ring.try_pop(leftover));
-}
+int value_of(const RawMessage& m) { return from_bytes<int>(m.payload)[0]; }
 
 // --- Mailbox under concurrent flood -----------------------------------------
 
-mp::RawMessage make_msg(mp::Rank src, mp::Tag tag, int value) {
-  return mp::RawMessage{src, tag,
-                        mp::to_bytes(std::span<const int>(&value, 1)), 0.0};
-}
-
 TEST(MailboxStress, ConcurrentProducersConsumerSeesEveryMessageInOrder) {
   // Each producer is a distinct source rank flooding one mailbox while the
-  // consumer takes concurrently. 2000 messages x 4 sources overflows the
-  // 512-slot ring many times over, so this exercises ring + overflow + the
-  // ticket that keeps cross-path matching oldest-first.
+  // consumer takes concurrently, so lanes grow, drain and compact under
+  // contention.
   constexpr int kProducers = 4;
   constexpr int kPerProducer = 2000;
-  constexpr mp::Tag kTag = 11;
-  mp::Mailbox box;
+  constexpr Tag kTag = 11;
+  Mailbox box(kProducers);
   std::vector<std::thread> producers;
   for (int src = 0; src < kProducers; ++src) {
     producers.emplace_back([&, src] {
       for (int i = 0; i < kPerProducer; ++i) {
-        box.deposit(make_msg(src, kTag, src * kPerProducer + i));
+        box.deposit(make_msg(src, kTag, {src * kPerProducer + i}, 0.0));
       }
     });
   }
   for (int i = 0; i < kPerProducer; ++i) {
     for (int src = 0; src < kProducers; ++src) {
       const auto m = box.take(src, kTag);
-      ASSERT_EQ(mp::from_bytes<int>(m.payload)[0], src * kPerProducer + i)
+      ASSERT_EQ(value_of(m), src * kPerProducer + i)
           << "source " << src << " out of order at " << i;
     }
   }
@@ -163,27 +60,27 @@ TEST(MailboxStress, ConcurrentProducersConsumerSeesEveryMessageInOrder) {
 
 TEST(MailboxStress, ShutdownReleasesBlockedTakerDuringFlood) {
   // The taker waits on a tag the producers never send, so it is parked on
-  // the condvar slow path while deposits keep arming the sleeping-flag
-  // handshake. shutdown() from yet another thread must cut through.
-  mp::Mailbox box;
+  // the condvar while every deposit wakes it for a futile rescan.
+  // shutdown() from yet another thread must cut through.
+  Mailbox box(2);
   std::atomic<bool> stop{false};
   std::atomic<bool> aborted{false};
   std::vector<std::thread> producers;
   for (int src = 0; src < 2; ++src) {
     producers.emplace_back([&, src] {
-      // Bounded flood: enough to keep the sleeping-flag handshake busy for
-      // the whole test, without letting a generous scheduler timeslice pile
-      // up an unbounded backlog.
+      // Bounded flood: enough to keep the taker waking for the whole test,
+      // without letting a generous scheduler timeslice pile up an
+      // unbounded backlog.
       for (int i = 0; i < 20000 && !stop.load(std::memory_order_acquire);
            ++i) {
-        box.deposit(make_msg(src, /*tag=*/1, i));
+        box.deposit(make_msg(src, /*tag=*/1, {i}, 0.0));
       }
     });
   }
   std::thread taker([&] {
     try {
       (void)box.take(0, /*tag=*/2);
-    } catch (const mp::ClusterAborted&) {
+    } catch (const ClusterAborted&) {
       aborted = true;
     }
   });
@@ -193,32 +90,32 @@ TEST(MailboxStress, ShutdownReleasesBlockedTakerDuringFlood) {
   EXPECT_TRUE(aborted.load());
   stop.store(true, std::memory_order_release);
   for (auto& t : producers) t.join();
-  // Pre-shutdown deposits stay queued (clear() owns discarding them), but
+  // Pre-shutdown deposits stay queued (reset() owns discarding them), but
   // post-shutdown deposits are dropped.
   const std::size_t queued = box.pending();
-  box.deposit(make_msg(0, 1, 0));
+  box.deposit(make_msg(0, 1, {0}, 0.0));
   EXPECT_EQ(box.pending(), queued);
 }
 
 TEST(MailboxStress, PoisonReleasesBlockedTakerDuringFlood) {
-  mp::Mailbox box;
+  Mailbox box(2);
   std::atomic<bool> stop{false};
   std::atomic<bool> failed{false};
   std::thread producer([&] {
     for (int i = 0; i < 20000 && !stop.load(std::memory_order_acquire); ++i) {
-      box.deposit(make_msg(1, /*tag=*/1, i));
+      box.deposit(make_msg(1, /*tag=*/1, {i}, 0.0));
     }
   });
   std::thread taker([&] {
     try {
       (void)box.take(1, /*tag=*/2);
-    } catch (const mp::PeerFailed& e) {
+    } catch (const PeerFailed& e) {
       EXPECT_EQ(e.peer(), 3);
       failed = true;
     }
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  box.poison(mp::FailNotice{.what = "injected", .peer = 3, .peer_failed = true});
+  box.poison(FailNotice{.what = "injected", .peer = 3, .peer_failed = true});
   taker.join();
   EXPECT_TRUE(failed.load());
   stop.store(true, std::memory_order_release);
@@ -232,14 +129,14 @@ TEST(MailboxStress, DelayedFramesStillMatchInSendOrder) {
   // the receiving mailbox sees interleavings that never occur fault-free.
   // Per-sender FIFO is a deposit-order property and must survive on every
   // backend.
-  mp::Cluster cluster(sim::MachineSpec::uniform(3));
+  Cluster cluster(sim::MachineSpec::uniform(3));
   cluster.set_fault_plan(FaultPlan{
       .kills = {},
       .frames = {FrameRule{.from = 1, .to = 0, .after_nth = 0, .count = 50,
                            .fault = FrameFault::kDelay,
                            .delay_seconds = 0.25}}});
   constexpr int kRounds = 100;
-  cluster.run([&](mp::Process& p) {
+  cluster.run([&](Process& p) {
     if (p.rank() == 0) {
       for (int i = 0; i < kRounds; ++i) {
         EXPECT_EQ(p.recv_value<int>(1, /*tag=*/7), 100 + i);
@@ -258,11 +155,11 @@ TEST(MailboxStress, KillDuringFloodReleasesReceiverWithPeerFailed) {
   // Rank 1 dies mid-flood; rank 0 is blocked in recv on it. The failure
   // must surface as PeerFailed through the mailbox poison path — never a
   // hang — on every backend.
-  mp::Cluster cluster(sim::MachineSpec::uniform(2));
+  Cluster cluster(sim::MachineSpec::uniform(2));
   cluster.set_fault_plan(
       FaultPlan{.kills = {KillRule{.rank = 1, .after_sends = 25}}, .frames = {}});
   std::atomic<bool> observed{false};
-  cluster.run([&](mp::Process& p) {
+  cluster.run([&](Process& p) {
     try {
       if (p.rank() == 0) {
         for (int i = 0; i < 100; ++i) {
@@ -272,13 +169,13 @@ TEST(MailboxStress, KillDuringFloodReleasesReceiverWithPeerFailed) {
       } else {
         for (int i = 0; i < 100; ++i) p.send_value(0, /*tag=*/3, i);
       }
-    } catch (const mp::PeerFailed& e) {
+    } catch (const PeerFailed& e) {
       EXPECT_EQ(e.peer(), 1);
       observed = true;
       // Recover: the survivor agreement fences this rank's queue, dropping
       // the dead peer's unconsumed backlog.
       const auto agreement = p.agree_on_survivors();
-      EXPECT_EQ(agreement.survivors, (std::vector<mp::Rank>{0}));
+      EXPECT_EQ(agreement.survivors, (std::vector<Rank>{0}));
     }
     // Rank 1's own RankKilled propagates: Cluster::run records the death.
   });
@@ -287,4 +184,4 @@ TEST(MailboxStress, KillDuringFloodReleasesReceiverWithPeerFailed) {
 }
 
 }  // namespace
-}  // namespace stance
+}  // namespace stance::mp
